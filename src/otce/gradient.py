@@ -4,10 +4,11 @@ The f-otce pipeline (cost -> fixed number of Sinkhorn updates -> plan ->
 joint label distribution -> negative conditional entropy) is replayed
 with a fixed iteration count K and no early stopping, and its exact
 reverse-mode derivative with respect to the target embeddings is
-accumulated by walking the same K updates backwards. Everything runs in
-float64; the forward pass shares the update steps of the production
-solver, so the value equals ``f_otce`` evaluated with exactly K
-iterations.
+accumulated by walking the same K updates backwards. The Sinkhorn part
+is :func:`otce.ot.unrolled_sinkhorn`, which drives the solver's own
+update rule, so the value equals ``f_otce`` evaluated with exactly K
+iterations; this module adds the entropy's adjoint and the chain rule
+from cost to target embeddings. Everything runs in float64.
 
 Gradient ascent on that value moves raw target embeddings (source
 embeddings stay frozen) toward configurations where target labels are
@@ -30,16 +31,10 @@ from .errors import (
     IoFailure,
     MissingClass,
     NonFiniteGradient,
+    NumericalOverflow,
 )
-from .metrics import _aggregate_joint, negative_conditional_entropy
-from .ot import (
-    _EXP_CLAMP,
-    SinkhornConfig,
-    _col_potential,
-    _plan_from_potentials,
-    _row_potential,
-    squared_euclidean_cost,
-)
+from .metrics import _aggregate_joint, _entropy_and_adjoint
+from .ot import SinkhornConfig, squared_euclidean_cost, unrolled_sinkhorn
 
 __all__ = [
     "GradConfig",
@@ -124,12 +119,14 @@ def f_otce_value_and_grad(
     ct = int(yt.max()) + 1
     cost = squared_euclidean_cost(xs, xt)
     lam = config.sinkhorn.lam
-    k = config.unroll_iterations
-
-    if config.sinkhorn.log_domain:
-        value, dcost = _log_unrolled(cost, ys, yt, cs, ct, lam, k)
-    else:
-        value, dcost = _scaling_unrolled(cost, ys, yt, cs, ct, lam, k)
+    try:
+        plan, pullback = unrolled_sinkhorn(cost, config.sinkhorn, config.unroll_iterations)
+    except NumericalOverflow as exc:
+        raise NonFiniteGradient(str(exc)) from exc
+    value, djoint = _entropy_and_adjoint(_aggregate_joint(plan, ys, yt, cs, ct))
+    # Through the label aggregation, each sample pair takes the adjoint
+    # of its label cell.
+    dcost = pullback(djoint[ys][:, yt])
 
     # cost[i, j] = ||xs_i - xt_j||^2  =>  d cost / d xt_j = 2 (xt_j - xs_i)
     grad = 2.0 * (dcost.sum(axis=0)[:, None] * xt - dcost.T @ xs)
@@ -138,123 +135,6 @@ def f_otce_value_and_grad(
             f"non-finite gradient (lam={lam!r}); retry with log_domain=True"
         )
     return value, grad
-
-
-def _joint_and_adjoint(
-    plan: np.ndarray, ys: np.ndarray, yt: np.ndarray, cs: int, ct: int
-) -> tuple[float, np.ndarray]:
-    """Score the plan and return d(value)/d(plan).
-
-    d value / d joint[a, b] = log(joint[a, b] / row[a]); expanding back
-    through the label aggregation gives per-pair adjoints. Cells with
-    zero mass carry zero adjoint (the 0 * log 0 branch is flat).
-    """
-    joint = _aggregate_joint(plan, ys, yt, cs, ct)
-    value = negative_conditional_entropy(joint)
-    row = joint.sum(axis=1)
-    mask = joint > 0.0
-    log_joint = np.zeros_like(joint)
-    np.log(joint, out=log_joint, where=mask)
-    log_row = np.zeros_like(row)
-    np.log(row, out=log_row, where=row > 0.0)
-    log_ratio = np.where(mask, log_joint - log_row[:, None], 0.0)
-    dplan = log_ratio[ys][:, yt]
-    return value, dplan
-
-
-def _log_unrolled(
-    cost: np.ndarray, ys: np.ndarray, yt: np.ndarray, cs: int, ct: int, lam: float, k: int
-) -> tuple[float, np.ndarray]:
-    m, n = cost.shape
-    ncl = cost * (-1.0 / lam)
-    log_mu = np.log(np.full(m, 1.0 / m))
-    log_nu = np.log(np.full(n, 1.0 / n))
-    work = np.empty_like(ncl)
-
-    fls = np.empty((k, m))
-    gls = np.empty((k, n))
-    gl = np.zeros(n)
-    for t in range(k):
-        fl = _row_potential(ncl, gl, log_mu, work)
-        gl = _col_potential(ncl, fl, log_nu, work)
-        fls[t] = fl
-        gls[t] = gl
-    plan = _plan_from_potentials(ncl, fls[-1], gls[-1])
-    value, dplan = _joint_and_adjoint(plan, ys, yt, cs, ct)
-
-    # plan = exp(ncl + fl + gl): one product serves all three adjoints.
-    weighted = dplan * plan
-    dfl = weighted.sum(axis=1)
-    dgl = weighted.sum(axis=0)
-    dncl = weighted.copy()
-
-    for t in range(k - 1, -1, -1):
-        # gl_t = log_nu - LSE_i(ncl + fl_t): column softmax
-        col_soft = np.exp(
-            np.maximum(ncl + fls[t][:, None] - (log_nu - gls[t])[None, :], _EXP_CLAMP)
-        )
-        dfl -= col_soft @ dgl
-        dncl -= col_soft * dgl[None, :]
-        # fl_t = log_mu - LSE_j(ncl + gl_{t-1}): row softmax
-        gl_prev = gls[t - 1] if t > 0 else np.zeros(n)
-        row_soft = np.exp(
-            np.maximum(ncl + gl_prev[None, :] - (log_mu - fls[t])[:, None], _EXP_CLAMP)
-        )
-        dgl = -(row_soft.T @ dfl)
-        dncl -= row_soft * dfl[:, None]
-        dfl = np.zeros(m)
-
-    return value, dncl * (-1.0 / lam)
-
-
-def _scaling_unrolled(
-    cost: np.ndarray, ys: np.ndarray, yt: np.ndarray, cs: int, ct: int, lam: float, k: int
-) -> tuple[float, np.ndarray]:
-    m, n = cost.shape
-    mu = np.full(m, 1.0 / m)
-    nu = np.full(n, 1.0 / n)
-    kernel = np.exp(cost * (-1.0 / lam))  # honest underflow, as in the solver
-
-    us = np.empty((k, m))
-    vs = np.empty((k, n))
-    kvs = np.empty((k, m))
-    kus = np.empty((k, n))
-    v = np.ones(n)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for t in range(k):
-            kv = (kernel * v[None, :]).sum(axis=1)
-            u = mu / kv
-            ku = (kernel * u[:, None]).sum(axis=0)
-            v = nu / ku
-            us[t], vs[t], kvs[t], kus[t] = u, v, kv, ku
-        if not (np.isfinite(us).all() and np.isfinite(vs).all()):
-            raise NonFiniteGradient(
-                f"scaling iterations under/overflowed (lam={lam!r}); "
-                "retry with log_domain=True"
-            )
-        plan = us[-1][:, None] * kernel * vs[-1][None, :]
-        value, dplan = _joint_and_adjoint(plan, ys, yt, cs, ct)
-
-        # plan = u * kernel * v (outer product structure)
-        du = (dplan * kernel * vs[-1][None, :]).sum(axis=1)
-        dv = (dplan * kernel * us[-1][:, None]).sum(axis=0)
-        dkernel = dplan * us[-1][:, None] * vs[-1][None, :]
-
-        for t in range(k - 1, -1, -1):
-            # v_t = nu / ku_t
-            dku = -dv * vs[t] / kus[t]
-            dkernel += us[t][:, None] * dku[None, :]
-            du += kernel @ dku
-            # u_t = mu / kv_t
-            dkv = -du * us[t] / kvs[t]
-            v_prev = vs[t - 1] if t > 0 else np.ones(n)
-            dkernel += dkv[:, None] * v_prev[None, :]
-            dv = kernel.T @ dkv
-            du = np.zeros(m)
-
-        # kernel = exp(-cost/lam)
-        dcost = dkernel * kernel * (-1.0 / lam)
-    return value, dcost
 
 
 def optimize_target_embeddings(

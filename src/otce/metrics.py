@@ -99,15 +99,24 @@ def negative_conditional_entropy(joint: np.ndarray) -> float:
     pairs a joint cell with its row sum, and no cell can exceed its row
     sum, so every summand is <= 0.
     """
-    joint = np.asarray(joint, dtype=np.float64)
+    value, _ = _entropy_and_adjoint(np.asarray(joint, dtype=np.float64))
+    return value
+
+
+def _entropy_and_adjoint(joint: np.ndarray) -> tuple[float, np.ndarray]:
+    """-H(Yt | Ys) and its derivative with respect to the joint.
+
+    d value / d joint[a, b] = log(joint[a, b] / row[a]). Cells with zero
+    mass carry zero adjoint (the 0 * log 0 branch is flat).
+    """
     row = joint.sum(axis=1)
     mask = joint > 0.0
     log_joint = np.zeros_like(joint)
     np.log(joint, out=log_joint, where=mask)
     log_row = np.zeros_like(row)
     np.log(row, out=log_row, where=row > 0.0)
-    terms = np.where(mask, joint * (log_joint - log_row[:, None]), 0.0)
-    return float(terms.sum())
+    log_ratio = np.where(mask, log_joint - log_row[:, None], 0.0)
+    return float(np.where(mask, joint * log_ratio, 0.0).sum()), log_ratio
 
 
 def _standardize_pooled(xs: np.ndarray, xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -89,17 +89,23 @@ class TestValueAndGrad:
         shifted, _ = f_otce_value_and_grad(xs + offset, ys, xt + offset, yt, config)
         assert abs(value - shifted) <= 1e-9
 
-    def test_value_equals_f_otce_at_fixed_iterations(self, rng):
+    # scaling runs at a lambda where its kernel is healthy
+    @pytest.mark.parametrize("log_domain, lam", [(True, 0.1), (False, 0.5)])
+    def test_value_equals_f_otce_at_fixed_iterations(self, rng, log_domain, lam):
         xs, ys, xt, yt = random_instance(rng, m=7, n=6, classes=3)
         k = 37
+        solver = SinkhornConfig(lam=lam, log_domain=log_domain)
         value, _ = f_otce_value_and_grad(
-            xs, ys, xt, yt, GradConfig(unroll_iterations=k)
+            xs, ys, xt, yt, GradConfig(sinkhorn=solver, unroll_iterations=k)
         )
         reference = f_otce(
             make_set(xs, ys, classes=3),
             make_set(xt, yt, classes=3),
             MetricConfig(
-                sinkhorn=SinkhornConfig(max_iterations=k, marginal_tolerance=1e-300)
+                sinkhorn=SinkhornConfig(
+                    lam=lam, max_iterations=k, marginal_tolerance=1e-300,
+                    log_domain=log_domain,
+                )
             ),
         ).value
         assert value == reference

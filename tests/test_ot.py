@@ -152,6 +152,12 @@ class TestSinkhorn:
             sinkhorn(cost, np.array([1.0, 0.0]), uniform_marginal(2))
         with pytest.raises(DimensionMismatch):
             sinkhorn(cost, uniform_marginal(3), uniform_marginal(2))
+        for log_domain in (True, False):
+            config = SinkhornConfig(log_domain=log_domain)
+            with pytest.raises(DimensionMismatch):
+                sinkhorn(cost, np.array([np.nan, 0.5]), uniform_marginal(2), config)
+            with pytest.raises(DimensionMismatch):
+                sinkhorn(cost, uniform_marginal(2), np.array([0.5, np.nan]), config)
 
     def test_non_finite_cost_rejected(self):
         cost = np.array([[0.0, np.inf], [1.0, 0.0]])
