@@ -21,7 +21,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .data import FeatureSet, MetricId
+from .data import FeatureSet, MetricId, TransferabilityScore
 from .errors import (
     DegenerateInput,
     EmptyInput,
@@ -91,6 +91,7 @@ def _score_payload(score) -> dict:
         "gamma": score.gamma,
         "iterations": score.iterations_used,
         "converged": score.converged,
+        "marginal_error": score.final_marginal_error,
     }
 
 
@@ -104,7 +105,8 @@ _metric_options = [
     click.option("--standardize", is_flag=True,
                  help="Standardize each feature dimension on pooled statistics."),
     click.option("--log-domain/--no-log-domain", default=True, show_default=True,
-                 help="Log-sum-exp Sinkhorn updates vs plain scaling."),
+                 help="Stabilized scaling with log-domain absorption vs plain "
+                      "scaling."),
 ]
 
 
@@ -133,19 +135,19 @@ def cmd_score(metric, source_path, target_path, lam, gamma, max_iter, standardiz
     tgt = read_feature_file(target_path)
     t1 = time.perf_counter()
     if metric == MetricId.NCE.value:
-        value = nce_paired(src.labels, tgt.labels)
-        results = {
-            "metric": metric,
-            "value": value,
-            "lambda": None,
-            "gamma": None,
-            "iterations": 0,
-            "converged": True,
-        }
+        score = TransferabilityScore(
+            metric_id=MetricId.NCE,
+            value=nce_paired(src.labels, tgt.labels),
+            lam=None,
+            gamma=None,
+            iterations_used=0,
+            converged=True,
+        )
     else:
         config = _metric_config(lam, gamma, max_iter, standardize, log_domain)
         compute = f_otce if metric == MetricId.F_OTCE.value else jc_otce
-        results = _score_payload(compute(src, tgt, config))
+        score = compute(src, tgt, config)
+    results = _score_payload(score)
     t2 = time.perf_counter()
     _emit(
         "score",

@@ -169,6 +169,8 @@ class TransferabilityScore:
     ``value`` is a negative conditional entropy, so it is always <= 0 and
     >= -log(target class count). ``gamma`` is present exactly for JC-OTCE;
     ``lam`` is None for NCE, which involves no transport solve.
+    ``final_marginal_error`` is the L-infinity marginal violation of the
+    plan the value was computed from (0.0 for NCE).
     """
 
     metric_id: MetricId
@@ -177,6 +179,7 @@ class TransferabilityScore:
     gamma: float | None
     iterations_used: int
     converged: bool
+    final_marginal_error: float = 0.0
 
     def __post_init__(self) -> None:
         if self.value > 0.0:

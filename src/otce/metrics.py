@@ -160,6 +160,7 @@ def _score_from_cost(
         gamma=gamma,
         iterations_used=result.iterations,
         converged=result.converged,
+        final_marginal_error=result.final_marginal_error,
     )
 
 

@@ -2,19 +2,28 @@
 
 The solver minimizes ``sum(c * pi) - lam * H(pi)`` with
 ``H(pi) = -sum(pi * log(pi))`` over couplings with prescribed marginals.
-Log-domain (log-sum-exp) updates are the default; the plain scaling
-variant is kept for cross-checking and raises :class:`NumericalOverflow`
-when ``exp(-c/lam)`` degenerates.
+It iterates the scaling updates ``u = mu / (K v)``, ``v = nu / (K^T u)``
+on a kernel ``K = exp(-c/lam + F + G)``. By default (``log_domain``) the
+iteration is stabilized: it starts with one log-sum-exp update pair, and
+whenever a scaling leaves ``[e^-30, e^30]`` or is not finite, that
+half-update is redone in log-sum-exp form and absorbed into the log
+potentials F and G, and the kernel is rebuilt (Schmitzer 2019,
+"Stabilized sparse scaling algorithms for entropy regularized
+transport"). Plain scaling (``log_domain=False``) never absorbs, keeps
+F = G = 0, and raises :class:`NumericalOverflow` when ``exp(-c/lam)``
+degenerates; it is kept for cross-checking.
 
-Each of the two update rules is written once, here: its kernel, row and
-column half-updates, plan, cheap stopping estimate, and the reverse of
-each step. :func:`sinkhorn` drives a rule with early stopping;
-:func:`unrolled_sinkhorn` replays exactly K of the same steps for the
-differentiable path in :mod:`otce.gradient` and walks them backwards.
+The rule is written once, here: its kernel, its row and column
+half-updates in scaling and in log-sum-exp form, the plan, the cheap
+stopping estimate, and the reverse of each step. :func:`sinkhorn` drives
+it with early stopping; :func:`unrolled_sinkhorn` replays exactly K of
+the same steps for the differentiable path in :mod:`otce.gradient` and
+walks them backwards in log-sum-exp form.
 
-Within one solve every reduction runs in a fixed sequential order, so
-for a given cost the results are bit-stable across runs and thread
-counts. The BLAS product in :func:`squared_euclidean_cost` is not.
+The solver and the unrolled reverse use no BLAS call: every product is
+an einsum or ufunc loop and every reduction runs in a fixed sequential
+order, so for a given cost the results are bit-stable across runs and
+thread counts. The BLAS product in :func:`squared_euclidean_cost` is not.
 """
 
 from __future__ import annotations
@@ -51,8 +60,9 @@ class SinkhornConfig:
     max_iterations: hard cap on full update pairs. Default 1000.
     marginal_tolerance: stop once the L-infinity marginal violation of
         the current plan is at or below this. Default 1e-9.
-    log_domain: use log-sum-exp updates (default) instead of plain
-        scaling.
+    log_domain: stabilize the scaling updates by absorbing them into
+        log-domain potentials (default), instead of plain scaling, which
+        raises NumericalOverflow when exp(-cost/lam) degenerates.
     """
 
     lam: float = 0.1
@@ -140,29 +150,133 @@ def _check_marginals(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> None:
         raise DimensionMismatch("cost matrix must be finite")
 
 
-# -- update rules ----------------------------------------------------------
+# -- the update rule -------------------------------------------------------
 #
-# A rule iterates a row potential f and a column potential g, starting
-# from g = rule.start. The solver and the unrolled gradient both drive
-# the same two half-updates, so their ops match bit for bit. Each *_vjp
-# pulls an adjoint back through the step of the same name: it returns the
-# adjoint of the step's input potential (col_vjp adds it into df in place)
-# and adds the kernel adjoint into dkernel in place.
+# The Sinkhorn iteration alternates a row potential f and a column
+# potential g, starting from g = 0. _Rule computes each half-update as a
+# kernel matvec, and in log-sum-exp form to start and to absorb. The
+# solver and the unrolled gradient both drive _Rule.step, so their ops
+# match bit for bit. The reverse is taken in log-sum-exp form on the
+# effective potentials, whichever form ran the step. Each *_vjp pulls an
+# adjoint back through the log-sum-exp step of the same name: it returns
+# the adjoint of the step's input potential (col_vjp adds it into df in
+# place) and adds the adjoint of -cost/lam into dkernel in place.
 
-class _LogRule:
-    """Log-sum-exp updates on log scalings; the kernel is -cost/lam."""
+# Scalings outside [e^-_ABSORB, e^_ABSORB] are absorbed into the log
+# potentials before the kernel products they scale lose precision.
+_ABSORB = 30.0
+_SCALING_LO = float(np.exp(-_ABSORB))
+_SCALING_HI = float(np.exp(_ABSORB))
 
-    def __init__(self, cost: np.ndarray, mu: np.ndarray, nu: np.ndarray, lam: float):
+
+class _Rule:
+    """Scaling updates u = mu / (K v), v = nu / (K^T u) on the kernel
+    K = exp(-cost/lam + F + G), held in ``work``.
+
+    F and G are absorbed log potentials; the effective potentials are
+    f = F + log u and g = G + log v. With ``absorb`` (log-domain mode) the
+    first iteration is a log-sum-exp pair, after which K is built. A
+    fresh scaling that is not finite or leaves [e^-30, e^30] is dropped:
+    its half-update is redone in log-sum-exp form from the effective
+    potentials (with ``work`` as its workspace), folded into F and G, u and v
+    reset to 1 and K rebuilt. Every half-update is thus the exact
+    Sinkhorn step. Without ``absorb`` (plain scaling) F = G = 0, the
+    kernel is unclamped, so honest underflow to zero shows up in the
+    finite check of each half-update, which raises NumericalOverflow.
+
+    The matvecs are einsum loops, not BLAS calls, so their bits do not
+    depend on the BLAS thread count.
+    """
+
+    def __init__(
+        self, cost: np.ndarray, mu: np.ndarray, nu: np.ndarray, lam: float, absorb: bool
+    ):
         self.lam = lam
         self.kernel = cost * (-1.0 / lam)
+        self.work = np.empty_like(self.kernel)
+        self.mu = mu
         self.nu = nu
         self.log_mu = np.log(mu)
         self.log_nu = np.log(nu)
+        self.absorb = absorb
+        self.absorptions = 0
         self.start = np.zeros(nu.shape[0])
-        self.work = np.empty_like(self.kernel)
+        self.F = np.zeros(mu.shape[0])
+        self.G = self.start
+        self.u = np.ones(mu.shape[0])
+        self.v = np.ones(nu.shape[0])
+        if not absorb:
+            np.exp(self.kernel, out=self.work)
+
+    def step(self) -> None:
+        """One row and one column half-update."""
+        if self.absorb and not self.absorptions:
+            self.before = (self.G, self.v)
+            f = self.row(self.start)
+            self._absorb(f, self.col(f))
+            return
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            u = self.mu / np.einsum("ij,j->i", self.work, self.v)
+            if self._keep(u):
+                self.u = u
+            else:
+                g = self.G + np.log(self.v)
+                self._absorb(self.row(g), g)
+            self.before = (self.G, self.v)
+            v = self.nu / np.einsum("ij,i->j", self.work, self.u)
+            if self._keep(v):
+                self.v = v
+            else:
+                f = self.F + np.log(self.u)
+                self._absorb(f, self.col(f))
+
+    def estimate(self) -> float:
+        """Cheap column violation of the plan before the last column update.
+
+        That plan has colsum_j = nu_j * v_j / v_next_j, or in log form
+        nu_j * exp(g_j - g_next_j), so its violation is free.
+        """
+        G, v = self.before
+        if G is self.G:
+            return float(np.abs(self.nu * (v / self.v - 1.0)).max())
+        return float(np.abs(self.nu * np.expm1(G + np.log(v) - self.G)).max())
+
+    def plan(self) -> np.ndarray:
+        plan = self.work * self.u[:, None]
+        plan *= self.v[None, :]
+        return plan
+
+    def _keep(self, scaling: np.ndarray) -> bool:
+        # NaN fails both comparisons.
+        if _SCALING_LO <= scaling.min() and scaling.max() <= _SCALING_HI:
+            return True
+        if self.absorb:
+            return False
+        if not np.isfinite(scaling).all():
+            raise NumericalOverflow(
+                "scaling-mode Sinkhorn under/overflowed "
+                f"(lam={self.lam!r}); retry with log_domain=True"
+            )
+        return True
+
+    def _absorb(self, f: np.ndarray, g: np.ndarray) -> None:
+        """Make f, g the absorbed potentials and rebuild K in place."""
+        self.F, self.G = f, g
+        self.u = np.ones_like(f)
+        self.v = np.ones_like(g)
+        self.absorptions += 1
+        kernel = self.work
+        np.add(self.kernel, f[:, None], out=kernel)
+        kernel += g[None, :]
+        # Zeros below the clamp, not exp(_EXP_CLAMP): those entries times
+        # a small scaling would be subnormal, which is slow.
+        np.exp(kernel, out=kernel, where=kernel > _EXP_CLAMP)
+        np.maximum(kernel, 0.0, out=kernel)
+
+    # -- log-sum-exp form: the start, absorptions and the reverse ----------
 
     def row(self, g: np.ndarray) -> np.ndarray:
-        """f = log_mu - LSE_j(kernel + g), max-shifted."""
+        """f = log_mu - LSE_j(-cost/lam + g), max-shifted."""
         work = self.work
         np.add(self.kernel, g[None, :], out=work)
         shift = work.max(axis=1)
@@ -177,10 +291,10 @@ class _LogRule:
             np.maximum(self.kernel + g[None, :] - (self.log_mu - f)[:, None], _EXP_CLAMP)
         )
         dkernel -= soft * df[:, None]
-        return -(soft.T @ df)
+        return -np.einsum("ij,i->j", soft, df)
 
     def col(self, f: np.ndarray) -> np.ndarray:
-        """g = log_nu - LSE_i(kernel + f), max-shifted."""
+        """g = log_nu - LSE_i(-cost/lam + f), max-shifted."""
         work = self.work
         np.add(self.kernel, f[:, None], out=work)
         shift = work.max(axis=0)
@@ -194,95 +308,16 @@ class _LogRule:
         soft = np.exp(
             np.maximum(self.kernel + f[:, None] - (self.log_nu - g)[None, :], _EXP_CLAMP)
         )
-        df -= soft @ dg
+        df -= np.einsum("ij,j->i", soft, dg)
         dkernel -= soft * dg[None, :]
 
-    def plan(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        return np.exp(np.maximum(self.kernel + f[:, None] + g[None, :], _EXP_CLAMP))
-
-    def plan_vjp(self, f, g, plan, dplan):
+    def plan_vjp(self, plan, dplan):
         # plan = exp(kernel + f + g): one product serves all three adjoints.
         weighted = dplan * plan
         return weighted.sum(axis=1), weighted.sum(axis=0), weighted
 
     def cost_vjp(self, dkernel: np.ndarray) -> np.ndarray:
         return dkernel * (-1.0 / self.lam)
-
-    def col_violation(self, g: np.ndarray, g_next: np.ndarray) -> float:
-        # The plan before the column update has colsum_j =
-        # nu_j * exp(g_j - g_next_j), so its violation is free.
-        return float(np.abs(self.nu * np.expm1(g - g_next)).max())
-
-
-class _ScalingRule:
-    """Plain scaling updates on u = exp(f), v = exp(g); the kernel is
-    exp(-cost/lam).
-
-    No exponent clamp: honest underflow to zero is what lets the finite
-    check of each half-update detect a hopeless kernel.
-    """
-
-    def __init__(self, cost: np.ndarray, mu: np.ndarray, nu: np.ndarray, lam: float):
-        self.lam = lam
-        self.kernel = np.exp(cost * (-1.0 / lam))
-        self.mu = mu
-        self.nu = nu
-        self.start = np.ones(nu.shape[0])
-
-    def _finite(self, scaling: np.ndarray) -> np.ndarray:
-        if not np.isfinite(scaling).all():
-            raise NumericalOverflow(
-                "scaling-mode Sinkhorn under/overflowed "
-                f"(lam={self.lam!r}); retry with log_domain=True"
-            )
-        return scaling
-
-    def row(self, v: np.ndarray) -> np.ndarray:
-        """u = mu / (kernel @ v)."""
-        # (kernel * v).sum keeps reductions sequential and deterministic.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return self._finite(self.mu / (self.kernel * v[None, :]).sum(axis=1))
-
-    def row_vjp(self, v, u, du, dkernel) -> np.ndarray:
-        # u = mu / kv, so du / dkv = -u / kv = -u * u / mu.
-        dkv = -du * (u * u / self.mu)
-        dkernel += dkv[:, None] * v[None, :]
-        return self.kernel.T @ dkv
-
-    def col(self, u: np.ndarray) -> np.ndarray:
-        """v = nu / (kernel.T @ u)."""
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return self._finite(self.nu / (self.kernel * u[:, None]).sum(axis=0))
-
-    def col_vjp(self, u, v, dv, du, dkernel) -> None:
-        # v = nu / ku, so dv / dku = -v / ku = -v * v / nu.
-        dku = -dv * (v * v / self.nu)
-        dkernel += u[:, None] * dku[None, :]
-        du += self.kernel @ dku
-
-    def plan(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return u[:, None] * self.kernel * v[None, :]
-
-    def plan_vjp(self, u, v, plan, dplan):
-        # plan = u * kernel * v (outer product structure)
-        return (
-            (dplan * self.kernel * v[None, :]).sum(axis=1),
-            (dplan * self.kernel * u[:, None]).sum(axis=0),
-            dplan * u[:, None] * v[None, :],
-        )
-
-    def cost_vjp(self, dkernel: np.ndarray) -> np.ndarray:
-        # kernel = exp(-cost/lam)
-        return dkernel * self.kernel * (-1.0 / self.lam)
-
-    def col_violation(self, v: np.ndarray, v_next: np.ndarray) -> float:
-        # As in the log rule: colsum_j = nu_j * v_j / v_next_j.
-        return float(np.abs(self.nu * (v / v_next - 1.0)).max())
-
-
-def _rule(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray, config: SinkhornConfig):
-    rule = _LogRule if config.log_domain else _ScalingRule
-    return rule(cost, mu, nu, config.lam)
 
 
 def _marginal_error(plan: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> float:
@@ -317,18 +352,14 @@ def sinkhorn(
         raise DimensionMismatch(f"cost must be 2-D, got ndim={cost.ndim}")
     _check_marginals(cost, mu, nu)
 
-    rule = _rule(cost, mu, nu, config)
+    rule = _Rule(cost, mu, nu, config.lam, absorb=config.log_domain)
     tol = config.marginal_tolerance
-    g = rule.start
     for iterations in range(1, config.max_iterations + 1):
-        f = rule.row(g)
-        g_next = rule.col(f)
+        rule.step()
         # Cheap estimate; the true violation is verified before
         # declaring convergence.
-        estimate = rule.col_violation(g, g_next)
-        g = g_next
-        if estimate <= tol or iterations == config.max_iterations:
-            plan = rule.plan(f, g)
+        if rule.estimate() <= tol or iterations == config.max_iterations:
+            plan = rule.plan()
             error = _marginal_error(plan, mu, nu)
             if error <= tol:
                 break
@@ -362,18 +393,32 @@ def unrolled_sinkhorn(cost: np.ndarray, config: SinkhornConfig, iterations: int)
         NumericalOverflow: scaling mode only, as in :func:`sinkhorn`.
     """
     m, n = cost.shape
-    rule = _rule(cost, uniform_marginal(m), uniform_marginal(n), config)
-    fs = np.empty((iterations, m))
-    gs = np.empty((iterations + 1, n))  # gs[t] feeds step t; gs[0] is the start
-    gs[0] = g = rule.start
+    rule = _Rule(
+        cost, uniform_marginal(m), uniform_marginal(n), config.lam, absorb=config.log_domain
+    )
+    # Step t leaves f_t = Fs[e] + log u_t and g_t = Gs[e] + log v_t, with
+    # e = epochs[t] indexing the absorbed potentials current after it.
+    us = np.empty((iterations, m))
+    vs = np.empty((iterations, n))
+    epochs = np.empty(iterations, dtype=np.intp)
+    Fs, Gs = [rule.F], [rule.G]
     for t in range(iterations):
-        fs[t] = f = rule.row(g)
-        gs[t + 1] = g = rule.col(f)
-    plan = rule.plan(f, g)
+        rule.step()
+        if rule.F is not Fs[-1]:  # every absorption assigns new F and G
+            Fs.append(rule.F)
+            Gs.append(rule.G)
+        epochs[t] = len(Fs) - 1
+        us[t] = rule.u
+        vs[t] = rule.v
+    plan = rule.plan()
 
     def pullback(dplan: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            df, dg, dkernel = rule.plan_vjp(f, g, plan, dplan)
+            fs = np.array(Fs)[epochs] + np.log(us)
+            gs = np.empty((iterations + 1, n))  # gs[t] feeds step t; gs[0] is the start
+            gs[0] = rule.start
+            np.add(np.array(Gs)[epochs], np.log(vs), out=gs[1:])
+            df, dg, dkernel = rule.plan_vjp(plan, dplan)
             for t in range(iterations - 1, -1, -1):
                 rule.col_vjp(fs[t], gs[t + 1], dg, df, dkernel)
                 dg = rule.row_vjp(gs[t], fs[t], df, dkernel)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DegenerateInput, EmptyInput, LengthMismatch
 
@@ -43,11 +42,29 @@ def _paired(acc, trf) -> tuple[np.ndarray, np.ndarray]:
     return acc, trf
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of their ordinal ranks.
+
+    Any NaN makes every rank NaN, as in ``scipy.stats.rankdata``.
+    """
+    if np.isnan(x).any():
+        return np.full(x.shape[0], np.nan)
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    last = np.r_[first[1:], x.shape[0]]
+    # A run of ties at 0-based sorted positions first..last-1 holds the
+    # ordinal ranks first+1..last, whose mean is (first + 1 + last) / 2.
+    ranks = np.empty(x.shape[0])
+    ranks[order] = np.repeat((first + 1 + last) / 2.0, last - first)
+    return ranks
+
+
 def spearman_rho(acc, trf) -> float:
     """Spearman rank correlation, in [-1, 1]."""
     acc, trf = _paired(acc, trf)
-    ra = rankdata(acc)
-    rt = rankdata(trf)
+    ra = _average_ranks(acc)
+    rt = _average_ranks(trf)
     if ra.std() == 0.0 or rt.std() == 0.0:
         raise DegenerateInput("zero rank variance; correlation undefined")
     return float(np.corrcoef(ra, rt)[0, 1])

@@ -1,12 +1,26 @@
 import numpy as np
 import pytest
 
-from otce import FeatureSet
+from otce import FeatureSet, ot
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def absorptions(monkeypatch):
+    """Records each absorption of the Sinkhorn rule; the log-domain start is one."""
+    calls = []
+    absorb = ot._Rule._absorb
+
+    def counting(rule, f, g):
+        calls.append(1)
+        absorb(rule, f, g)
+
+    monkeypatch.setattr(ot._Rule, "_absorb", counting)
+    return calls
 
 
 def make_set(features, labels, classes=None, name="t"):

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from otce import SyntheticTaskSpec, generate_task_pair, read_feature_file, write_feature_file
+from otce import (
+    MetricConfig,
+    SinkhornConfig,
+    SyntheticTaskSpec,
+    f_otce,
+    generate_task_pair,
+    read_feature_file,
+    write_feature_file,
+)
 from otce.cli import main
 
 from conftest import make_set, well_separated_set
@@ -87,6 +95,31 @@ class TestScore:
         assert report["results"]["value"] == 0.0
         assert report["results"]["lambda"] is None
 
+    @pytest.mark.parametrize("max_iter", [1000, 3])
+    def test_marginal_error_reported(self, runner, task_files, max_iter):
+        src, tgt = task_files
+        report = report_of(invoke(
+            runner, "score", "--metric", "f-otce", "--source", src, "--target", tgt,
+            "--max-iter", max_iter,
+        ))
+        results = report["results"]
+        score = f_otce(
+            read_feature_file(src), read_feature_file(tgt),
+            MetricConfig(sinkhorn=SinkhornConfig(max_iterations=max_iter)),
+        )
+        assert results["marginal_error"] == score.final_marginal_error
+        assert results["converged"] == (score.final_marginal_error <= 1e-9)
+        assert list(results)[-1] == "marginal_error"
+
+    def test_nce_marginal_error_is_zero(self, runner, tmp_path):
+        a = make_set([[0.0], [1.0]], [0, 1])
+        pa = tmp_path / "a.ftrs"
+        write_feature_file(a, pa)
+        report = report_of(
+            invoke(runner, "score", "--metric", "nce", "--source", pa, "--target", pa)
+        )
+        assert report["results"]["marginal_error"] == 0.0
+
     def test_missing_file_exit_2(self, runner, tmp_path):
         result = invoke(
             runner, "score", "--metric", "f-otce",
@@ -147,6 +180,7 @@ class TestRank:
         ranking = report["results"]["ranking"]
         assert ranking[0]["task_id"] == "self"
         assert abs(ranking[0]["value"]) <= 1e-3
+        assert all(entry["marginal_error"] >= 0.0 for entry in ranking)
 
     def test_empty_dir_exit_2(self, runner, tmp_path):
         tgt_path = tmp_path / "t.ftrs"

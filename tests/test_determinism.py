@@ -22,6 +22,7 @@ from otce import (
     f_otce_value_and_grad, joint_label_distribution, negative_conditional_entropy,
     sinkhorn, squared_euclidean_cost, uniform_marginal,
 )
+from otce import ot
 from otce.ot import unrolled_sinkhorn
 
 def digest(array):
@@ -40,11 +41,27 @@ result = sinkhorn(cost, mu, nu, solver)
 plan = result.coupling.values
 score = negative_conditional_entropy(joint_label_distribution(plan, ys, yt, 10, 10))
 print("solver", result.iterations, digest(plan), score.hex())
+
+# Squared distances built the same BLAS-free way, at a shape where BLAS
+# matrix-vector products round differently under 1 and 2 OpenBLAS threads.
+ps, pt = rng.normal(size=(1200, 16)), rng.normal(size=(900, 16))
+sq_s, sq_t = np.einsum("ik,ik->i", ps, ps), np.einsum("jk,jk->j", pt, pt)
+squared = sq_s[:, None] + sq_t[None, :] - 2.0 * np.einsum("ik,jk->ij", ps, pt)
 for log_domain in (True, False):
     unrolled, pullback = unrolled_sinkhorn(
-        cost / 64.0, SinkhornConfig(lam=0.5, log_domain=log_domain), 20
+        squared / 16.0, SinkhornConfig(lam=0.5, log_domain=log_domain), 20
     )
     print("unrolled", digest(unrolled), digest(pullback(np.log(unrolled))))
+
+# A default solve that absorbs.
+absorbed = []
+absorb = ot._Rule._absorb
+ot._Rule._absorb = lambda rule, f, g: absorbed.append(1) or absorb(rule, f, g)
+result = sinkhorn(
+    squared, uniform_marginal(1200), uniform_marginal(900), SinkhornConfig(max_iterations=200)
+)
+ot._Rule._absorb = absorb
+print("absorbing", len(absorbed), result.iterations, digest(result.coupling.values))
 
 # Pipeline level: f-otce and its gradient from raw embeddings.
 value = f_otce(FeatureSet(xs, ys, 10), FeatureSet(xt, yt, 10), MetricConfig(sinkhorn=solver)).value
@@ -83,6 +100,9 @@ def test_solver_bit_stable_across_blas_thread_counts(runs):
     assert len(single["unrolled"]) == 2
     assert single["solver"] == double["solver"]
     assert single["unrolled"] == double["unrolled"]
+    [(count, _, _)] = single["absorbing"]
+    assert int(count) >= 2  # the start plus at least one
+    assert single["absorbing"] == double["absorbing"]
 
 
 @pytest.mark.xfail(

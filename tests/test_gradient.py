@@ -59,6 +59,20 @@ class TestValueAndGrad:
             numeric = finite_difference(xs, ys, xt, yt, config)
             assert_grad_close(grad, numeric)
 
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_finite_difference_across_absorptions(self, absorptions, seed):
+        # at lam = 0.01 the unrolled steps absorb after the start, and the
+        # reverse runs through the absorbed potentials
+        rng = np.random.default_rng(seed)
+        xs, xt = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
+        ys, yt = rng.integers(0, 2, size=5), rng.integers(0, 2, size=5)
+        config = GradConfig(sinkhorn=SinkhornConfig(lam=0.01), unroll_iterations=50)
+        _, grad = f_otce_value_and_grad(xs, ys, xt, yt, config)
+        assert len(absorptions) >= 2  # the start plus at least one
+        assert np.abs(grad).max() > 0.1
+        numeric = finite_difference(xs, ys, xt, yt, config)
+        assert_grad_close(grad, numeric)
+
     def test_single_target_class_is_flat_maximum(self, rng):
         xs, ys, xt, _ = random_instance(rng)
         yt = np.zeros(5, dtype=np.int64)

@@ -15,6 +15,7 @@ from otce import (
     nce_paired,
     negative_conditional_entropy,
     sinkhorn,
+    squared_euclidean_cost,
     uniform_marginal,
 )
 from otce.errors import DimensionMismatch, LabelOutOfRange, LengthMismatch
@@ -242,6 +243,26 @@ class TestJcOtce:
         tgt = make_set(np.vstack([cloud1, cloud0]), np.repeat([0, 1], 8))
         config = MetricConfig(sinkhorn=SinkhornConfig(lam=1e-3), gamma=0.0)
         assert abs(jc_otce(src, tgt, config).value) <= 1e-3
+
+    def test_standardized_equals_public_pieces_bitwise(self, rng):
+        # With standardization, jc-otce is the composition of its public
+        # pieces on the pooled-standardized features.
+        scale = np.array([100.0, 1.0, 1.0, 1.0])
+        base_s = well_separated_set(rng, n=20, classes=2)
+        base_t = well_separated_set(rng, n=18, classes=3)
+        src = make_set(base_s.features * scale, base_s.labels, 2)
+        tgt = make_set(base_t.features * scale, base_t.labels, 3)
+        config = MetricConfig(gamma=0.5, standardize_features=True)
+        pooled = np.vstack([src.features, tgt.features])
+        mean, std = pooled.mean(axis=0), pooled.std(axis=0)
+        xs, xt = (src.features - mean) / std, (tgt.features - mean) / std
+        label_term = label_distance_matrix(src, tgt, config)[src.labels][:, tgt.labels]
+        cost = 0.5 * squared_euclidean_cost(xs, xt) + 0.5 * label_term
+        plan = sinkhorn(
+            cost, uniform_marginal(20), uniform_marginal(18), config.sinkhorn
+        ).coupling
+        joint = joint_label_distribution(plan, src.labels, tgt.labels, 2, 3)
+        assert jc_otce(src, tgt, config).value == negative_conditional_entropy(joint)
 
     def test_range(self, rng):
         src = well_separated_set(rng, n=16, classes=2)

@@ -14,6 +14,22 @@ from otce import (
 from otce.errors import DimensionMismatch, NumericalOverflow, TooLarge
 
 
+def _lse(a, axis):
+    shift = a.max(axis=axis, keepdims=True)
+    return (np.log(np.exp(a - shift).sum(axis=axis, keepdims=True)) + shift).squeeze(axis)
+
+
+def lse_sinkhorn_plan(cost, lam, iterations):
+    """Reference: plain log-sum-exp Sinkhorn on uniform marginals from g = 0."""
+    m, n = cost.shape
+    kernel = -cost / lam
+    f, g = np.zeros(m), np.zeros(n)
+    for _ in range(iterations):
+        f = np.log(1.0 / m) - _lse(kernel + g[None, :], 1)
+        g = np.log(1.0 / n) - _lse(kernel + f[:, None], 0)
+    return np.exp(kernel + f[:, None] + g[None, :])
+
+
 class TestSquaredEuclideanCost:
     def test_identical_points(self):
         assert squared_euclidean_cost(np.array([[0.0]]), np.array([[0.0]])) == 0.0
@@ -137,6 +153,35 @@ class TestSinkhorn:
         result = sinkhorn(cost, mu, mu, SinkhornConfig(lam=1e-3, log_domain=True))
         assert np.isfinite(result.transport_cost)
         assert result.coupling.marginal_violation() <= 1e-9 or not result.converged
+
+    @pytest.mark.parametrize("kind, seed", [
+        ("uniform", 2), ("uniform", 3), ("squared", 0), ("squared", 1),
+    ])
+    def test_default_matches_log_sum_exp_across_absorptions(self, absorptions, kind, seed):
+        # at lam = 1e-3 the potentials move by far more than the absorption
+        # threshold within 300 iterations
+        rng = np.random.default_rng(seed)
+        if kind == "uniform":
+            cost = rng.uniform(size=(6, 6))
+        else:
+            cost = squared_euclidean_cost(rng.normal(size=(8, 2)), rng.normal(size=(7, 2)))
+        m, n = cost.shape
+        result = sinkhorn(
+            cost, uniform_marginal(m), uniform_marginal(n),
+            SinkhornConfig(lam=1e-3, max_iterations=300, marginal_tolerance=1e-300),
+        )
+        assert result.iterations == 300
+        assert len(absorptions) >= 2  # the start plus at least one
+        reference = lse_sinkhorn_plan(cost, 1e-3, 300)
+        assert np.abs(result.coupling.values - reference).max() <= 1e-12
+
+    def test_scaling_mode_never_absorbs(self, absorptions, rng):
+        cost = rng.uniform(size=(5, 8))
+        sinkhorn(
+            cost, uniform_marginal(5), uniform_marginal(8),
+            SinkhornConfig(lam=0.3, log_domain=False),
+        )
+        assert absorptions == []
 
     def test_bit_stable_across_runs(self, rng):
         cost = rng.uniform(size=(9, 9))

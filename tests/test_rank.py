@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from otce import ScoredPair, kendall_tau, rank_sources, spearman_rho
 from otce.errors import DegenerateInput, EmptyInput, LengthMismatch
@@ -59,6 +65,20 @@ class TestSpearman:
         want = spearman_closed_form(np.asarray(acc), trf)
         assert got == pytest.approx(want, abs=1e-12)
         assert -1.0 - 1e-12 <= got <= 1.0 + 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=3, max_size=40),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    def test_matches_scipy_rankdata(self, acc, seed):
+        # tied acc (few distinct values), untied trf
+        assume(len(set(acc)) > 1)
+        acc = np.asarray(acc, dtype=np.float64)
+        trf = np.random.default_rng(seed).normal(size=acc.shape[0])
+        expected = float(np.corrcoef(rankdata(acc), rankdata(trf))[0, 1])
+        assert spearman_rho(acc, trf) == expected
+        assert spearman_rho(trf, acc) == float(np.corrcoef(rankdata(trf), rankdata(acc))[0, 1])
 
     def test_monotone_transform_invariance(self, rng):
         acc = rng.normal(size=25)
@@ -136,3 +156,15 @@ class TestRankSources:
     def test_accuracy_bounds(self):
         with pytest.raises(ValueError):
             ScoredPair("x", -0.1, accuracy=1.5)
+
+
+def test_import_leaves_scipy_unloaded():
+    # importing scipy.stats costs about a second, paid by every CLI call
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, otce, otce.cli; print('scipy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
