@@ -9,20 +9,27 @@ metrics differ only in the cost:
   f-otce   squared Euclidean distance between embeddings
   jc-otce  gamma * squared distance + (1 - gamma) * label distance,
            where the label distance is the Wasserstein distance between
-           class-conditional feature clouds
+           class-conditional feature clouds, class pairs of similar
+           size solved as one batched Sinkhorn solve
   nce      no transport at all; the identity pairing of equal-length
            label sequences
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import Coupling, FeatureSet, MetricId, TransferabilityScore
 from .errors import DimensionMismatch, LabelOutOfRange, LengthMismatch
-from .ot import SinkhornConfig, sinkhorn, squared_euclidean_cost, uniform_marginal
+from .ot import (
+    SinkhornConfig,
+    batched_sinkhorn,
+    sinkhorn,
+    squared_euclidean_cost,
+    uniform_marginal,
+)
 
 __all__ = [
     "MetricConfig",
@@ -184,25 +191,30 @@ def label_distance_matrix(
 
     Entry (a, b) is the unregularized transport cost of the entropic
     plan between class-a source features and class-b target features
-    under squared Euclidean cost. Rows/columns of absent classes are
-    +inf sentinels; no sample carries those labels, so downstream cost
+    under squared Euclidean cost. The class pairs are solved in batches of
+    similar size (:func:`otce.ot.batched_sinkhorn`), each as
+    :func:`sinkhorn` would solve it alone. Rows/columns of absent classes
+    are +inf sentinels; no sample carries those labels, so downstream cost
     lookups never read them.
     """
     config = config or MetricConfig()
     xs, xt = _prepare(src, tgt, config)
+    # With both sets grouped by class, the class-pair costs are the
+    # blocks of one cost matrix.
+    source_classes, source_counts = np.unique(src.labels, return_counts=True)
+    target_classes, target_counts = np.unique(tgt.labels, return_counts=True)
+    cost = squared_euclidean_cost(
+        xs[np.argsort(src.labels, kind="stable")], xt[np.argsort(tgt.labels, kind="stable")]
+    )
+    costs = [
+        block
+        for band in np.split(cost, np.cumsum(source_counts)[:-1])
+        for block in np.split(band, np.cumsum(target_counts)[:-1], axis=1)
+    ]
     distances = np.full((src.class_count, tgt.class_count), np.inf)
-    target_clouds = {int(b): xt[tgt.labels == b] for b in tgt.present_classes}
-    for a in src.present_classes:
-        cloud_a = xs[src.labels == a]
-        for b, cloud_b in target_clouds.items():
-            cost = squared_euclidean_cost(cloud_a, cloud_b)
-            result = sinkhorn(
-                cost,
-                uniform_marginal(cloud_a.shape[0]),
-                uniform_marginal(cloud_b.shape[0]),
-                config.sinkhorn,
-            )
-            distances[int(a), b] = result.transport_cost
+    distances[np.ix_(source_classes, target_classes)] = batched_sinkhorn(
+        costs, config.sinkhorn
+    ).transport_cost.reshape(source_classes.size, target_classes.size)
     return distances
 
 
@@ -215,13 +227,28 @@ def jc_otce(src: FeatureSet, tgt: FeatureSet, config: MetricConfig | None = None
     """
     config = config or MetricConfig()
     xs, xt = _prepare(src, tgt, config)
-    cost = squared_euclidean_cost(xs, xt)
     if config.gamma < 1.0:
-        distances = label_distance_matrix(src, tgt, config)
+        if config.standardize_features:
+            # Hand the features standardized above to the label stage.
+            distances = label_distance_matrix(
+                src.with_features(xs),
+                tgt.with_features(xt),
+                replace(config, standardize_features=False),
+            )
+        else:
+            distances = label_distance_matrix(src, tgt, config)
         # Per-pair lookup of the class-pair distance; present labels
-        # never index an inf sentinel.
+        # never index an inf sentinel. The label term is built before the
+        # sample cost, mixed into it in place and freed before the main
+        # solve, so no third m x n array is held next to them.
         label_term = distances[src.labels][:, tgt.labels]
-        cost = config.gamma * cost + (1.0 - config.gamma) * label_term
+        label_term *= 1.0 - config.gamma
+        cost = squared_euclidean_cost(xs, xt)
+        cost *= config.gamma
+        cost += label_term
+        del label_term
+    else:
+        cost = squared_euclidean_cost(xs, xt)
     return _score_from_cost(cost, src, tgt, config, MetricId.JC_OTCE, gamma=config.gamma)
 
 

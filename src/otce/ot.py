@@ -18,9 +18,12 @@ half-updates in scaling and in log-sum-exp form, the plan, the cheap
 stopping estimate, and the reverse of each step. :func:`sinkhorn` drives
 it with early stopping; :func:`unrolled_sinkhorn` replays exactly K of
 the same steps for the differentiable path in :mod:`otce.gradient` and
-walks them backwards in log-sum-exp form.
+walks them backwards in log-sum-exp form; :func:`batched_sinkhorn`
+drives many small problems (jc-otce's class pairs) as padded stacks of
+problems of similar shape, with the same rule applied per problem
+wherever problems differ.
 
-The solver and the unrolled reverse use no BLAS call: every product is
+The solvers and the unrolled reverse use no BLAS call: every product is
 an einsum or ufunc loop and every reduction runs in a fixed sequential
 order, so for a given cost the results are bit-stable across runs and
 thread counts. The BLAS product in :func:`squared_euclidean_cost` is not.
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,6 +173,17 @@ _SCALING_LO = float(np.exp(-_ABSORB))
 _SCALING_HI = float(np.exp(_ABSORB))
 
 
+def _in_range(scaling: np.ndarray, axis=None):
+    """Whether the scalings lie in [e^-30, e^30]: all of them, or those
+    of each problem along ``axis``."""
+    # NaN fails both comparisons. A whole-array test that fails the lower
+    # bound is decided without the second reduction.
+    inside = _SCALING_LO <= scaling.min(axis=axis)
+    if axis is None and not inside:
+        return False
+    return inside & (scaling.max(axis=axis) <= _SCALING_HI)
+
+
 class _Rule:
     """Scaling updates u = mu / (K v), v = nu / (K^T u) on the kernel
     K = exp(-cost/lam + F + G), held in ``work``.
@@ -188,58 +203,86 @@ class _Rule:
     depend on the BLAS thread count.
     """
 
-    def __init__(
-        self, cost: np.ndarray, mu: np.ndarray, nu: np.ndarray, lam: float, absorb: bool
-    ):
+    def __init__(self, kernel, work, mu, nu, lam: float, absorb: bool, F, G, u, v):
+        """The rule on prepared arrays: ``kernel`` is -cost/lam, ``work``
+        holds K, F and G are the absorbed log potentials and u, v the
+        scalings."""
         self.lam = lam
-        self.kernel = cost * (-1.0 / lam)
-        self.work = np.empty_like(self.kernel)
+        self.absorb = absorb
+        self.absorptions = 0
+        self.kernel = kernel
+        self.work = work
         self.mu = mu
         self.nu = nu
         self.log_mu = np.log(mu)
         self.log_nu = np.log(nu)
-        self.absorb = absorb
-        self.absorptions = 0
-        self.start = np.zeros(nu.shape[0])
-        self.F = np.zeros(mu.shape[0])
-        self.G = self.start
-        self.u = np.ones(mu.shape[0])
-        self.v = np.ones(nu.shape[0])
+        self.F, self.G, self.u, self.v = F, G, u, v
+
+    @classmethod
+    def on(cls, cost: np.ndarray, mu: np.ndarray, nu: np.ndarray, lam: float, absorb: bool):
+        """The rule at the start of a solve on ``cost``: F = G = 0, u = v = 1."""
+        kernel = cost * (-1.0 / lam)
+        work = np.empty_like(kernel)
         if not absorb:
-            np.exp(self.kernel, out=self.work)
+            np.exp(kernel, out=work)
+        m, n = kernel.shape
+        return cls(
+            kernel, work, mu, nu, lam, absorb, np.zeros(m), np.zeros(n), np.ones(m), np.ones(n)
+        )
+
+    # Matvec subscripts; _Batch prefixes them with its problem axis.
+    _KV = "ij,j->i"
+    _KTU = "ij,i->j"
 
     def step(self) -> None:
         """One row and one column half-update."""
         if self.absorb and not self.absorptions:
-            self.before = (self.G, self.v)
-            f = self.row(self.start)
-            self._absorb(f, self.col(f))
+            self._start()
             return
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            u = self.mu / np.einsum("ij,j->i", self.work, self.v)
-            if self._keep(u):
-                self.u = u
-            else:
-                g = self.G + np.log(self.v)
-                self._absorb(self.row(g), g)
+            self._take_u(self.mu / np.einsum(self._KV, self.work, self.v))
             self.before = (self.G, self.v)
-            v = self.nu / np.einsum("ij,i->j", self.work, self.u)
-            if self._keep(v):
-                self.v = v
-            else:
-                f = self.F + np.log(self.u)
-                self._absorb(f, self.col(f))
+            self._take_v(self.nu / np.einsum(self._KTU, self.work, self.u))
 
-    def estimate(self) -> float:
+    def _start(self) -> None:
+        # Nothing is absorbed yet, so G is the starting g = 0.
+        self.before = (self.G, self.v)
+        f = self.row(self.G)
+        self._absorb(f, self.col(f))
+
+    def _take_u(self, u: np.ndarray) -> None:
+        if self._keep(u):
+            self.u = u
+        else:
+            self._redo_row()
+
+    def _take_v(self, v: np.ndarray) -> None:
+        if self._keep(v):
+            self.v = v
+        else:
+            self._redo_col()
+
+    def _redo_row(self) -> None:
+        """The row half-update in log-sum-exp form, absorbed."""
+        g = self.G + np.log(self.v)
+        self._absorb(self.row(g), g)
+
+    def _redo_col(self) -> None:
+        """The column half-update in log-sum-exp form, absorbed."""
+        f = self.F + np.log(self.u)
+        self._absorb(f, self.col(f))
+
+    def estimate(self):
         """Cheap column violation of the plan before the last column update.
 
         That plan has colsum_j = nu_j * v_j / v_next_j, or in log form
-        nu_j * exp(g_j - g_next_j), so its violation is free.
+        nu_j * exp(g_j - g_next_j), so its violation is free. The maximum
+        is taken over the last axis: one value per problem.
         """
         G, v = self.before
         if G is self.G:
-            return float(np.abs(self.nu * (v / self.v - 1.0)).max())
-        return float(np.abs(self.nu * np.expm1(G + np.log(v) - self.G)).max())
+            return np.abs(self.nu * (v / self.v - 1.0)).max(axis=-1)
+        return np.abs(self.nu * np.expm1(G + np.log(v) - self.G)).max(axis=-1)
 
     def plan(self) -> np.ndarray:
         plan = self.work * self.u[:, None]
@@ -247,8 +290,7 @@ class _Rule:
         return plan
 
     def _keep(self, scaling: np.ndarray) -> bool:
-        # NaN fails both comparisons.
-        if _SCALING_LO <= scaling.min() and scaling.max() <= _SCALING_HI:
+        if _in_range(scaling):
             return True
         if self.absorb:
             return False
@@ -320,6 +362,133 @@ class _Rule:
         return dkernel * (-1.0 / self.lam)
 
 
+class _Batch(_Rule):
+    """Independent problems stacked on a leading axis and stepped together.
+
+    Problem k fills the top-left m_k x n_k corner of slice k of the
+    padded stacks; padded entries of the stacked kernel are zero and
+    padded scalings are held at 1, so the stacked einsum matvecs give
+    each problem its own products. Whatever differs between problems
+    runs per problem, through _Rule's own methods on a 2-D view of it
+    (:meth:`problem`): the log-sum-exp start, the absorption of a scaling
+    that leaves range, the log-form estimate after an absorption, and the
+    plan.
+    """
+
+    _KV = "bij,bj->bi"
+    _KTU = "bij,bi->bj"
+
+    def __init__(self, costs: list[np.ndarray], lam: float, absorb: bool):
+        self.shapes = [cost.shape for cost in costs]
+        # Each problem's -cost/lam, contiguous: only per-problem steps read
+        # it. One buffer holds them all, so it is freed in one piece.
+        sizes = [cost.size for cost in costs]
+        flat = np.empty(sum(sizes))
+        self.kernels = [
+            np.multiply(cost, -1.0 / lam, out=part.reshape(cost.shape))
+            for cost, part in zip(costs, np.split(flat, np.cumsum(sizes)[:-1]))
+        ]
+        count = len(costs)
+        rows, cols = (max(extent) for extent in zip(*self.shapes))
+        mu = np.zeros((count, rows))
+        nu = np.zeros((count, cols))
+        for k, (m, n) in enumerate(self.shapes):
+            mu[k, :m] = uniform_marginal(m)
+            nu[k, :n] = uniform_marginal(n)
+        # The stacks have no kernel of their own, and the log marginals
+        # are -inf in the padding, which no stacked step reads.
+        with np.errstate(divide="ignore"):
+            super().__init__(
+                None, np.zeros((count, rows, cols)), mu, nu, lam, absorb,
+                np.zeros_like(mu), np.zeros_like(nu), np.ones_like(mu), np.ones_like(nu),
+            )
+        if not absorb:
+            for k, (m, n) in enumerate(self.shapes):
+                np.exp(self.kernels[k], out=self.work[k, :m, :n])
+        self.scratch = np.empty(rows * cols)
+        self.pad_rows = mu == 0.0
+        self.pad_cols = nu == 0.0
+
+    def problem(self, k: int) -> _Rule:
+        """Problem k as a 2-D _Rule on its own kernel and views into the stacks.
+
+        The views share memory with the stacks except where a method
+        assigns a new array (an absorption); :meth:`_redo` copies those back.
+        """
+        m, n = self.shapes[k]
+        return _Rule(
+            self.kernels[k], self.work[k, :m, :n], self.mu[k, :m], self.nu[k, :n],
+            self.lam, self.absorb, self.F[k, :m], self.G[k, :n], self.u[k, :m], self.v[k, :n],
+        )
+
+    def _redo(self, k: int, half) -> None:
+        """Run ``half``, a log-sum-exp half-step that absorbs, on problem k.
+
+        It works in contiguous scratch rather than in the strided view of
+        the stack, where the kernel rebuild's masked exp takes about twice
+        as long, and the rebuilt kernel is then copied into the stack.
+        """
+        rule = self.problem(k)
+        m, n = self.shapes[k]
+        stacked, rule.work = rule.work, self.scratch[: m * n].reshape(m, n)
+        half(rule)
+        stacked[...] = rule.work
+        self.F[k, :m], self.u[k, :m] = rule.F, rule.u
+        self.G[k, :n], self.v[k, :n] = rule.G, rule.v
+
+    def step(self) -> None:
+        # (k, (G, v) before the column update) of each problem whose
+        # column half-step was redone in log-sum-exp form this step.
+        self.redone = []
+        _Rule.step(self)
+
+    def _start(self) -> None:
+        self.absorptions = 1
+        self.before = (self.G, self.v)
+        for k, (_, n) in enumerate(self.shapes):
+            self.redone.append((k, (np.zeros(n), np.ones(n))))
+            self._redo(k, _Rule._start)
+
+    def _rejects(self, scaling: np.ndarray, pad: np.ndarray):
+        """Problems whose fresh scaling fails the keep test."""
+        # Padded entries are 0/0; at 1 they pass every test.
+        scaling[pad] = 1.0
+        # One test over the whole stack first; in scaling mode it raises
+        # NumericalOverflow or passes, so only log-domain problems return.
+        if _Rule._keep(self, scaling):
+            return ()
+        return np.flatnonzero(~_in_range(scaling, axis=-1))
+
+    def _take_u(self, u: np.ndarray) -> None:
+        self.u = u
+        for k in self._rejects(u, self.pad_rows):
+            self._redo(k, _Rule._redo_row)
+
+    def _take_v(self, v: np.ndarray) -> None:
+        self.v = v
+        G_before, v_before = self.before
+        for k in self._rejects(v, self.pad_cols):
+            n = self.shapes[k][1]
+            self.redone.append((k, (G_before[k, :n].copy(), v_before[k, :n])))
+            self._redo(k, _Rule._redo_col)
+
+    def estimate(self) -> np.ndarray:
+        estimates = _Rule.estimate(self)
+        for k, before in self.redone:
+            rule = self.problem(k)
+            rule.before = before
+            estimates[k] = _Rule.estimate(rule)
+        return estimates
+
+    def retain(self, alive: np.ndarray) -> None:
+        """Drop the problems not marked alive from the stacks."""
+        for name in ("work", "pad_rows", "pad_cols", "mu", "log_mu", "F", "u",
+                     "nu", "log_nu", "G", "v"):
+            setattr(self, name, getattr(self, name)[alive])
+        self.kernels = [kernel for kernel, keep in zip(self.kernels, alive) if keep]
+        self.shapes = [kernel.shape for kernel in self.kernels]
+
+
 def _marginal_error(plan: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> float:
     row = np.abs(plan.sum(axis=1) - mu).max()
     col = np.abs(plan.sum(axis=0) - nu).max()
@@ -352,7 +521,7 @@ def sinkhorn(
         raise DimensionMismatch(f"cost must be 2-D, got ndim={cost.ndim}")
     _check_marginals(cost, mu, nu)
 
-    rule = _Rule(cost, mu, nu, config.lam, absorb=config.log_domain)
+    rule = _Rule.on(cost, mu, nu, config.lam, absorb=config.log_domain)
     tol = config.marginal_tolerance
     for iterations in range(1, config.max_iterations + 1):
         rule.step()
@@ -379,6 +548,103 @@ def sinkhorn(
     )
 
 
+class BatchResult(NamedTuple):
+    """Per-problem outcomes of :func:`batched_sinkhorn`, one entry per cost."""
+
+    transport_cost: np.ndarray
+    iterations: np.ndarray
+    final_marginal_error: np.ndarray
+    converged: np.ndarray
+
+
+def batched_sinkhorn(costs, config: SinkhornConfig) -> BatchResult:
+    """Solve entropic OT on uniform marginals for each 2-D cost, in batches.
+
+    Problems of similar shape are solved as one batch (see
+    :func:`_batches`), and Python runs one iteration loop per batch: the
+    matvecs run on the batch's padded stack and everything else per
+    problem (see :class:`_Batch`). Each problem stops when its own true
+    marginal error meets the tolerance and is then dropped from its
+    batch, so it takes the steps, absorptions and stopping iteration of
+    :func:`sinkhorn` on its cost alone, and its values agree with that
+    solve to rounding (the padded row matvec sums in another order).
+
+    Raises:
+        DimensionMismatch: a cost is not 2-D or not finite.
+        NumericalOverflow: scaling mode only, as in :func:`sinkhorn`.
+    """
+    costs = [np.asarray(cost, dtype=np.float64) for cost in costs]
+    for cost in costs:
+        if cost.ndim != 2:
+            raise DimensionMismatch(f"cost must be 2-D, got ndim={cost.ndim}")
+        if not np.isfinite(cost).all():
+            raise DimensionMismatch("cost matrix must be finite")
+    count = len(costs)
+    result = BatchResult(
+        np.empty(count), np.empty(count, dtype=np.intp), np.empty(count), np.empty(count, dtype=bool)
+    )
+    for batch in _batches([cost.shape for cost in costs]):
+        _solve_batch(costs, batch, config, result)
+    return result
+
+
+# A batch is padded to its largest extent on each side. Holding each side
+# within sqrt(2) of the batch's smallest keeps every problem at least
+# half its padded slice, so a stack is at most twice its problems' volume.
+_SPREAD = float(np.sqrt(2.0))
+
+
+def _batches(shapes: list[tuple[int, int]]) -> list[list[int]]:
+    """Problem indices split into batches of similar shape.
+
+    Sorted by rows, the problems split into bands whose largest row
+    count is within _SPREAD of the smallest; each band, sorted by
+    columns, splits the same way on columns.
+    """
+    batches = []
+    for band in _runs(sorted(range(len(shapes)), key=shapes.__getitem__), 0, shapes):
+        batches += _runs(sorted(band, key=lambda k: shapes[k][1]), 1, shapes)
+    return [sorted(batch) for batch in batches]
+
+
+def _runs(order: list[int], axis: int, shapes) -> list[list[int]]:
+    """Split ``order``, ascending in ``shapes[k][axis]``, into runs within _SPREAD."""
+    runs: list[list[int]] = []
+    for k in order:
+        if runs and shapes[k][axis] <= _SPREAD * shapes[runs[-1][0]][axis]:
+            runs[-1].append(k)
+        else:
+            runs.append([k])
+    return runs
+
+
+def _solve_batch(costs, batch: list[int], config: SinkhornConfig, result: BatchResult) -> None:
+    """Solve the problems ``batch`` indexes in ``costs`` as one stack, into ``result``."""
+    rule = _Batch([costs[b] for b in batch], config.lam, absorb=config.log_domain)
+    tol = config.marginal_tolerance
+    active = np.array(batch)  # the problem in each slot of the stacks
+    for iterations in range(1, config.max_iterations + 1):
+        rule.step()
+        last = iterations == config.max_iterations
+        alive = np.ones(active.size, dtype=bool)
+        for k in np.flatnonzero((rule.estimate() <= tol) | last):
+            problem = rule.problem(k)
+            plan = problem.plan()
+            error = _marginal_error(plan, problem.mu, problem.nu)
+            if error <= tol or last:
+                b = active[k]
+                result.transport_cost[b] = transport_cost(plan, costs[b])
+                result.iterations[b] = iterations
+                result.final_marginal_error[b] = error
+                result.converged[b] = error <= tol
+                alive[k] = False
+        if not alive.all():
+            active = active[alive]
+            if not active.size:
+                break
+            rule.retain(alive)
+
+
 def unrolled_sinkhorn(cost: np.ndarray, config: SinkhornConfig, iterations: int):
     """Exactly ``iterations`` update pairs on uniform marginals, and their reverse.
 
@@ -393,7 +659,7 @@ def unrolled_sinkhorn(cost: np.ndarray, config: SinkhornConfig, iterations: int)
         NumericalOverflow: scaling mode only, as in :func:`sinkhorn`.
     """
     m, n = cost.shape
-    rule = _Rule(
+    rule = _Rule.on(
         cost, uniform_marginal(m), uniform_marginal(n), config.lam, absorb=config.log_domain
     )
     # Step t leaves f_t = Fs[e] + log u_t and g_t = Gs[e] + log v_t, with
@@ -416,7 +682,7 @@ def unrolled_sinkhorn(cost: np.ndarray, config: SinkhornConfig, iterations: int)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             fs = np.array(Fs)[epochs] + np.log(us)
             gs = np.empty((iterations + 1, n))  # gs[t] feeds step t; gs[0] is the start
-            gs[0] = rule.start
+            gs[0] = Gs[0]
             np.add(np.array(Gs)[epochs], np.log(vs), out=gs[1:])
             df, dg, dkernel = rule.plan_vjp(plan, dplan)
             for t in range(iterations - 1, -1, -1):

@@ -11,12 +11,16 @@ def rng():
 
 @pytest.fixture
 def absorptions(monkeypatch):
-    """Records each absorption of the Sinkhorn rule; the log-domain start is one."""
+    """Records each absorption of the Sinkhorn rule; the log-domain start is one.
+
+    Each entry is the absorbing problem's -cost/lam array, which tells
+    the problems of a batch apart.
+    """
     calls = []
     absorb = ot._Rule._absorb
 
     def counting(rule, f, g):
-        calls.append(1)
+        calls.append(rule.kernel)
         absorb(rule, f, g)
 
     monkeypatch.setattr(ot._Rule, "_absorb", counting)

@@ -127,16 +127,18 @@ class TestScore:
         )
         assert result.exit_code == 2
 
-    def test_overflow_exit_3(self, runner, tmp_path):
+    @pytest.mark.parametrize("metric", ["f-otce", "jc-otce"])
+    def test_overflow_exit_3(self, runner, tmp_path, metric):
         # outlier source sample far from every target: its scaling-mode
-        # kernel row underflows to zero
+        # kernel row underflows to zero (for jc-otce first in the class-1
+        # pair of the label-distance batch)
         src = make_set([[0.0], [0.5], [1e4]], [0, 0, 1])
         tgt = make_set([[0.0], [0.5], [1.0]], [0, 0, 1])
         sp, tp = tmp_path / "s.ftrs", tmp_path / "t.ftrs"
         write_feature_file(src, sp)
         write_feature_file(tgt, tp)
         result = invoke(
-            runner, "score", "--metric", "f-otce", "--source", sp, "--target", tp,
+            runner, "score", "--metric", metric, "--source", sp, "--target", tp,
             "--lambda", 1e-3, "--no-log-domain",
         )
         assert result.exit_code == 3

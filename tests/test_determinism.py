@@ -63,6 +63,14 @@ result = sinkhorn(
 ot._Rule._absorb = absorb
 print("absorbing", len(absorbed), result.iterations, digest(result.coupling.values))
 
+# A batched class-pair solve on blocks of the same cost, of unequal sizes.
+rows, cols = [0, 1, 60, 160, 300], [0, 40, 41, 150, 230]
+blocks = [
+    squared[a:b, c:d] for a, b in zip(rows, rows[1:]) for c, d in zip(cols, cols[1:])
+]
+batch = ot.batched_sinkhorn(blocks, SinkhornConfig(max_iterations=200))
+print("batch", batch.iterations.tolist(), digest(batch.transport_cost))
+
 # Pipeline level: f-otce and its gradient from raw embeddings.
 value = f_otce(FeatureSet(xs, ys, 10), FeatureSet(xt, yt, 10), MetricConfig(sinkhorn=solver)).value
 plan = sinkhorn(squared_euclidean_cost(xs, xt), mu, nu, solver).coupling.values
@@ -103,6 +111,7 @@ def test_solver_bit_stable_across_blas_thread_counts(runs):
     [(count, _, _)] = single["absorbing"]
     assert int(count) >= 2  # the start plus at least one
     assert single["absorbing"] == double["absorbing"]
+    assert single["batch"] == double["batch"]
 
 
 @pytest.mark.xfail(

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from otce import (
     squared_euclidean_cost,
     uniform_marginal,
 )
+from otce import ot
 from otce.errors import DimensionMismatch, LabelOutOfRange, LengthMismatch
 
 from conftest import make_set, well_separated_set
@@ -218,6 +220,79 @@ class TestLabelDistanceMatrix:
         assert np.isinf(distances[1]).all()
         assert np.isfinite(distances[0]).all()
         assert np.isfinite(distances[2]).all()
+
+    @pytest.mark.parametrize("log_domain", [True, False])
+    @pytest.mark.parametrize("lam", [0.1, 0.005])
+    def test_batch_equals_per_pair_sinkhorn(self, absorptions, rng, lam, log_domain):
+        # Unequal class sizes with singletons on both sides; class 1 is
+        # absent from the source and class 3 from the target.
+        src = make_set(rng.random((33, 2)), np.repeat([0, 2, 3, 4], [1, 9, 11, 12]), classes=5)
+        tgt = make_set(rng.random((25, 2)) + 0.2, np.repeat([0, 1, 2, 4], [6, 1, 8, 10]), classes=5)
+        config = SinkhornConfig(lam=lam, max_iterations=3000, log_domain=log_domain)
+        pairs = [(a, b) for a in (0, 2, 3, 4) for b in (0, 1, 2, 4)]
+        costs = [
+            squared_euclidean_cost(src.features[src.labels == a], tgt.features[tgt.labels == b])
+            for a, b in pairs
+        ]
+        # Some batches stack problems of different shapes, so padding is exercised.
+        shapes = [cost.shape for cost in costs]
+        assert any(len({shapes[k] for k in batch}) > 1 for batch in ot._batches(shapes))
+        reference = [
+            sinkhorn(cost, uniform_marginal(cost.shape[0]), uniform_marginal(cost.shape[1]), config)
+            for cost in costs
+        ]
+        per_pair = len(absorptions)
+        batch = ot.batched_sinkhorn(costs, config)
+        iterations = [result.iterations for result in reference]
+        assert batch.iterations.tolist() == iterations
+        assert len(set(iterations) - {1}) >= 3  # pairs stop at different iterations
+        assert batch.converged.tolist() == [result.converged for result in reference]
+        expected = np.array([result.transport_cost for result in reference])
+        np.testing.assert_allclose(batch.transport_cost, expected, rtol=1e-12, atol=0)
+        # Each problem absorbs as often as its per-pair solve; a problem
+        # is told apart by its -cost/lam.
+        def per_problem(kernels):
+            return Counter(kernel.tobytes() for kernel in kernels)
+
+        assert per_problem(absorptions[per_pair:]) == per_problem(absorptions[:per_pair])
+        if log_domain:
+            # the start of each solve, plus absorptions after it at small lam
+            assert len(per_problem(absorptions)) == len(costs)
+            assert per_pair >= len(costs) + (lam < 0.01)
+        else:
+            assert per_pair == 0
+
+        distances = label_distance_matrix(src, tgt, MetricConfig(sinkhorn=config))
+        rows, cols = zip(*pairs)
+        np.testing.assert_allclose(distances[rows, cols], expected, rtol=1e-12, atol=0)
+        assert np.isinf(distances[1]).all() and np.isinf(distances[:, 3]).all()
+
+    def test_dominant_class_padding_bounded(self, monkeypatch, rng):
+        # One class holds most samples on each side. Padding every pair to
+        # it would stack 36 x 40 x 40 entries, 18x the pairs' own 57 x 57.
+        labels = np.repeat(np.arange(6), [40, 3, 3, 4, 3, 4])
+        src = make_set(rng.normal(size=(57, 3)), labels)
+        tgt = make_set(rng.normal(size=(57, 3)), labels)
+        stacked = []
+        init = ot._Batch.__init__
+
+        def recording(batch, costs, lam, absorb):
+            init(batch, costs, lam, absorb)
+            stacked.append(batch.work.size)
+
+        monkeypatch.setattr(ot._Batch, "__init__", recording)
+        config = SinkhornConfig(max_iterations=50)
+        distances = label_distance_matrix(src, tgt, MetricConfig(sinkhorn=config))
+        assert sum(stacked) <= 2 * 57 * 57
+        for a in range(6):
+            for b in range(6):
+                cost = squared_euclidean_cost(
+                    src.features[src.labels == a], tgt.features[tgt.labels == b]
+                )
+                alone = sinkhorn(
+                    cost, uniform_marginal(cost.shape[0]), uniform_marginal(cost.shape[1]), config
+                )
+                assert distances[a, b] == pytest.approx(alone.transport_cost, rel=1e-12, abs=0)
 
 
 class TestJcOtce:
