@@ -84,7 +84,7 @@ def _metric_config(lam, gamma, max_iter, standardize, log_domain) -> MetricConfi
 
 
 def _score_payload(score) -> dict:
-    return {
+    payload = {
         "metric": score.metric_id.value,
         "value": score.value,
         "lambda": score.lam,
@@ -93,6 +93,10 @@ def _score_payload(score) -> dict:
         "converged": score.converged,
         "marginal_error": score.final_marginal_error,
     }
+    if score.metric_id is MetricId.JC_OTCE:
+        payload["label_unconverged"] = score.label_unconverged
+        payload["label_marginal_error"] = score.label_marginal_error
+    return payload
 
 
 _metric_options = [

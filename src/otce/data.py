@@ -170,7 +170,11 @@ class TransferabilityScore:
     >= -log(target class count). ``gamma`` is present exactly for JC-OTCE;
     ``lam`` is None for NCE, which involves no transport solve.
     ``final_marginal_error`` is the L-infinity marginal violation of the
-    plan the value was computed from (0.0 for NCE).
+    plan the value was computed from (0.0 for NCE). For JC-OTCE,
+    ``label_unconverged`` counts the class-pair solves of the label
+    distance that ended unconverged and ``label_marginal_error`` is the
+    worst of their marginal violations (both 0 when no pair was solved,
+    as with gamma = 1 and for the other metrics).
     """
 
     metric_id: MetricId
@@ -180,6 +184,8 @@ class TransferabilityScore:
     iterations_used: int
     converged: bool
     final_marginal_error: float = 0.0
+    label_unconverged: int = 0
+    label_marginal_error: float = 0.0
 
     def __post_init__(self) -> None:
         if self.value > 0.0:

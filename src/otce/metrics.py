@@ -24,6 +24,7 @@ import numpy as np
 from .data import Coupling, FeatureSet, MetricId, TransferabilityScore
 from .errors import DimensionMismatch, LabelOutOfRange, LengthMismatch
 from .ot import (
+    BatchResult,
     SinkhornConfig,
     batched_sinkhorn,
     sinkhorn,
@@ -153,6 +154,7 @@ def _score_from_cost(
     config: MetricConfig,
     metric_id: MetricId,
     gamma: float | None,
+    **label_diagnostics,
 ) -> TransferabilityScore:
     result = sinkhorn(
         cost, uniform_marginal(src.n), uniform_marginal(tgt.n), config.sinkhorn
@@ -168,6 +170,7 @@ def _score_from_cost(
         iterations_used=result.iterations,
         converged=result.converged,
         final_marginal_error=result.final_marginal_error,
+        **label_diagnostics,
     )
 
 
@@ -197,7 +200,14 @@ def label_distance_matrix(
     are +inf sentinels; no sample carries those labels, so downstream cost
     lookups never read them.
     """
-    config = config or MetricConfig()
+    distances, _ = _label_distances(src, tgt, config or MetricConfig())
+    return distances
+
+
+def _label_distances(
+    src: FeatureSet, tgt: FeatureSet, config: MetricConfig
+) -> tuple[np.ndarray, BatchResult]:
+    """:func:`label_distance_matrix` and the outcome of each class-pair solve."""
     xs, xt = _prepare(src, tgt, config)
     # With both sets grouped by class, the class-pair costs are the
     # blocks of one cost matrix.
@@ -211,11 +221,12 @@ def label_distance_matrix(
         for band in np.split(cost, np.cumsum(source_counts)[:-1])
         for block in np.split(band, np.cumsum(target_counts)[:-1], axis=1)
     ]
+    pairs = batched_sinkhorn(costs, config.sinkhorn)
     distances = np.full((src.class_count, tgt.class_count), np.inf)
-    distances[np.ix_(source_classes, target_classes)] = batched_sinkhorn(
-        costs, config.sinkhorn
-    ).transport_cost.reshape(source_classes.size, target_classes.size)
-    return distances
+    distances[np.ix_(source_classes, target_classes)] = pairs.transport_cost.reshape(
+        source_classes.size, target_classes.size
+    )
+    return distances, pairs
 
 
 def jc_otce(src: FeatureSet, tgt: FeatureSet, config: MetricConfig | None = None) -> TransferabilityScore:
@@ -227,16 +238,21 @@ def jc_otce(src: FeatureSet, tgt: FeatureSet, config: MetricConfig | None = None
     """
     config = config or MetricConfig()
     xs, xt = _prepare(src, tgt, config)
+    label_diagnostics = {}
     if config.gamma < 1.0:
         if config.standardize_features:
             # Hand the features standardized above to the label stage.
-            distances = label_distance_matrix(
+            distances, pairs = _label_distances(
                 src.with_features(xs),
                 tgt.with_features(xt),
                 replace(config, standardize_features=False),
             )
         else:
-            distances = label_distance_matrix(src, tgt, config)
+            distances, pairs = _label_distances(src, tgt, config)
+        label_diagnostics = {
+            "label_unconverged": int(np.count_nonzero(~pairs.converged)),
+            "label_marginal_error": float(pairs.final_marginal_error.max()),
+        }
         # Per-pair lookup of the class-pair distance; present labels
         # never index an inf sentinel. The label term is built before the
         # sample cost, mixed into it in place and freed before the main
@@ -249,7 +265,9 @@ def jc_otce(src: FeatureSet, tgt: FeatureSet, config: MetricConfig | None = None
         del label_term
     else:
         cost = squared_euclidean_cost(xs, xt)
-    return _score_from_cost(cost, src, tgt, config, MetricId.JC_OTCE, gamma=config.gamma)
+    return _score_from_cost(
+        cost, src, tgt, config, MetricId.JC_OTCE, gamma=config.gamma, **label_diagnostics
+    )
 
 
 def nce_paired(ys: np.ndarray, yt: np.ndarray) -> float:

@@ -18,10 +18,12 @@ half-updates in scaling and in log-sum-exp form, the plan, the cheap
 stopping estimate, and the reverse of each step. :func:`sinkhorn` drives
 it with early stopping; :func:`unrolled_sinkhorn` replays exactly K of
 the same steps for the differentiable path in :mod:`otce.gradient` and
-walks them backwards in log-sum-exp form; :func:`batched_sinkhorn`
-drives many small problems (jc-otce's class pairs) as padded stacks of
-problems of similar shape, with the same rule applied per problem
-wherever problems differ.
+walks them backwards, each half-step in the form the forward ran it: a
+kept half-step as matvecs on its epoch's kernel (the kernel between two
+absorptions, rebuilt once per epoch), a redone one in log-sum-exp form;
+:func:`batched_sinkhorn` drives many small problems (jc-otce's class
+pairs) as padded stacks of problems of similar shape, with the same
+rule applied per problem wherever problems differ.
 
 The solvers and the unrolled reverse use no BLAS call: every product is
 an einsum or ufunc loop and every reduction runs in a fixed sequential
@@ -54,6 +56,12 @@ __all__ = [
 # already negligible against any retained mass, and the clamp keeps
 # numpy's exp off its scalar fallback path for subnormal results.
 _EXP_CLAMP = -700.0
+
+# A kernel rebuild with more than this share of its entries above the
+# clamp runs exp densely and masks after. At 100x100 the dense form took
+# half the time of the masked one at a 20% share and broke even near 7%;
+# at 1000x1000 with 2% above it took ~1.2x as long.
+_DENSE_SHARE = 0.07
 
 
 @dataclass(frozen=True)
@@ -160,11 +168,12 @@ def _check_marginals(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> None:
 # potential g, starting from g = 0. _Rule computes each half-update as a
 # kernel matvec, and in log-sum-exp form to start and to absorb. The
 # solver and the unrolled gradient both drive _Rule.step, so their ops
-# match bit for bit. The reverse is taken in log-sum-exp form on the
-# effective potentials, whichever form ran the step. Each *_vjp pulls an
-# adjoint back through the log-sum-exp step of the same name: it returns
-# the adjoint of the step's input potential (col_vjp adds it into df in
-# place) and adds the adjoint of -cost/lam into dkernel in place.
+# match bit for bit. The reverse mirrors the form the forward ran: a
+# kept half-step is pulled back by matvecs on the kernel it used
+# (_Taped.pullback), a redone one, in log-sum-exp form on the effective
+# potentials, by the *_vjp of the same name. Each returns the adjoint of
+# the step's input potential (col_vjp adds it into df in place) and adds
+# the adjoint of -cost/lam into dkernel in place.
 
 # Scalings outside [e^-_ABSORB, e^_ABSORB] are absorbed into the log
 # potentials before the kernel products they scale lose precision.
@@ -307,15 +316,26 @@ class _Rule:
         self.u = np.ones_like(f)
         self.v = np.ones_like(g)
         self.absorptions += 1
-        kernel = self.work
-        np.add(self.kernel, f[:, None], out=kernel)
-        kernel += g[None, :]
-        # Zeros below the clamp, not exp(_EXP_CLAMP): those entries times
-        # a small scaling would be subnormal, which is slow.
-        np.exp(kernel, out=kernel, where=kernel > _EXP_CLAMP)
-        np.maximum(kernel, 0.0, out=kernel)
+        self._build(f, g, self.work)
 
-    # -- log-sum-exp form: the start, absorptions and the reverse ----------
+    def _build(self, f: np.ndarray, g: np.ndarray, out: np.ndarray) -> None:
+        """K = exp(-cost/lam + f + g) into ``out``, zero below the clamp."""
+        np.add(self.kernel, f[:, None], out=out)
+        out += g[None, :]
+        # Zeros below the clamp, not exp(_EXP_CLAMP): those entries times
+        # a small scaling would be subnormal, which is slow. Both forms
+        # give the same bits; the where=-masked exp costs per run of the
+        # mask, so it is the faster one only while few entries lie above.
+        above = out > _EXP_CLAMP
+        if np.count_nonzero(above) > _DENSE_SHARE * out.size:
+            np.maximum(out, _EXP_CLAMP, out=out)
+            np.exp(out, out=out)
+            out *= above
+        else:
+            np.exp(out, out=out, where=above)
+            np.maximum(out, 0.0, out=out)
+
+    # -- log-sum-exp form: the start, absorptions and their reverse --------
 
     def row(self, g: np.ndarray) -> np.ndarray:
         """f = log_mu - LSE_j(-cost/lam + g), max-shifted."""
@@ -645,6 +665,103 @@ def _solve_batch(costs, batch: list[int], config: SinkhornConfig, result: BatchR
             rule.retain(alive)
 
 
+class _Taped(_Rule):
+    """The rule, taping what the reverse of each half-step needs.
+
+    ``tape`` holds one record (epoch, F, G, u, v) of the state after the
+    log-domain start (in plain scaling, of the state at the outset) and
+    one after each later row and column half-step; the epoch is the
+    absorption count, so it names the kernel the state's F and G build.
+    A half-step whose record has its predecessor's epoch was kept in
+    scaling form on that epoch's kernel; any other was redone in
+    log-sum-exp form and opened its epoch.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.tape = [] if self.absorb else [self._state()]
+
+    def _state(self):
+        return self.absorptions, self.F, self.G, self.u, self.v
+
+    def _start(self) -> None:
+        _Rule._start(self)
+        self.tape.append(self._state())
+
+    def _take_u(self, u: np.ndarray) -> None:
+        _Rule._take_u(self, u)
+        self.tape.append(self._state())
+
+    def _take_v(self, v: np.ndarray) -> None:
+        _Rule._take_v(self, v)
+        self.tape.append(self._state())
+
+    def pullback(self, plan: np.ndarray, dplan: np.ndarray) -> np.ndarray:
+        """d(loss)/d(cost) from d(loss)/d(plan), walking the taped steps back.
+
+        A kept half-step's softmax is its epoch's kernel times u v^T, over
+        mu (row half) or nu (column half), so its adjoints are one matvec
+        on that kernel, and its term of dkernel is the kernel times a
+        rank-one product. Those terms are collected per epoch and added
+        once, when the walk leaves the epoch; each earlier epoch's kernel
+        is rebuilt as its absorption built it (the last one is still in
+        ``work``). A redone half-step goes through its log-sum-exp VJP.
+        """
+        m, n = self.kernel.shape
+        tape = self.tape
+        neg_mu, neg_nu = -self.mu, -self.nu
+        kernel, held = self.work, tape[-1][0]
+        # The rank-one factors of the held epoch's dkernel term, one
+        # column per kept half-step, from column ``first`` on.
+        rows = np.empty((m, len(tape)))
+        cols = np.empty((n, len(tape)))
+        first = taken = 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            df, dg, dkernel = self.plan_vjp(plan, dplan)
+            # tape[k] follows a row half-step for odd k, a column one for even k.
+            for k in range(len(tape) - 1, 0, -1):
+                epoch, F, G, u, v = tape[k]
+                kept = epoch == tape[k - 1][0]
+                if kept and epoch != held:
+                    dkernel += _rank_sum(rows[:, first:taken], cols[:, first:taken], kernel)
+                    if kernel is self.work:
+                        kernel = np.empty_like(kernel)
+                    self._build(F, G, kernel)
+                    held, first = epoch, taken
+                if k % 2:
+                    if kept:
+                        # soft = K u v^T / mu: dkernel gets K (-u df / mu) v^T.
+                        a = np.multiply(df, u, out=rows[:, taken])
+                        a /= neg_mu
+                        cols[:, taken] = v
+                        taken += 1
+                        dg = v * np.einsum(self._KTU, kernel, a)
+                    else:
+                        dg = self.row_vjp(G, F, df, dkernel)
+                    df = np.zeros(m)
+                elif kept:
+                    # soft = K u v^T / nu: dkernel gets K u (-v dg / nu)^T.
+                    b = np.multiply(dg, v, out=cols[:, taken])
+                    b /= neg_nu
+                    rows[:, taken] = u
+                    taken += 1
+                    df += u * np.einsum(self._KV, kernel, b)
+                else:
+                    self.col_vjp(F, G, dg, df, dkernel)
+            dkernel += _rank_sum(rows[:, first:taken], cols[:, first:taken], kernel)
+            if self.absorb:
+                # The start: a log-sum-exp pair from g = 0.
+                _, F, G, _, _ = tape[0]
+                self.col_vjp(F, G, dg, df, dkernel)
+                self.row_vjp(np.zeros(n), F, df, dkernel)
+            return self.cost_vjp(dkernel)
+
+
+def _rank_sum(rows: np.ndarray, cols: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """kernel times the sum over t of the outer products rows[:, t] cols[:, t]^T."""
+    return np.einsum("it,jt->ij", rows, cols) * kernel
+
+
 def unrolled_sinkhorn(cost: np.ndarray, config: SinkhornConfig, iterations: int):
     """Exactly ``iterations`` update pairs on uniform marginals, and their reverse.
 
@@ -652,46 +769,23 @@ def unrolled_sinkhorn(cost: np.ndarray, config: SinkhornConfig, iterations: int)
     stopping (``config``'s iteration cap and tolerance do not apply), so
     the plan equals the solver's plan after that many iterations. Returns
     ``(plan, pullback)``: ``pullback(dplan)`` maps d(loss)/d(plan) to
-    d(loss)/d(cost) by walking the same steps backwards. Non-finite
-    adjoints are left for the caller to detect.
+    d(loss)/d(cost) by walking the same steps backwards, each in the form
+    the forward ran it. Non-finite adjoints are left for the caller to
+    detect.
 
     Raises:
         NumericalOverflow: scaling mode only, as in :func:`sinkhorn`.
     """
     m, n = cost.shape
-    rule = _Rule.on(
+    rule = _Taped.on(
         cost, uniform_marginal(m), uniform_marginal(n), config.lam, absorb=config.log_domain
     )
-    # Step t leaves f_t = Fs[e] + log u_t and g_t = Gs[e] + log v_t, with
-    # e = epochs[t] indexing the absorbed potentials current after it.
-    us = np.empty((iterations, m))
-    vs = np.empty((iterations, n))
-    epochs = np.empty(iterations, dtype=np.intp)
-    Fs, Gs = [rule.F], [rule.G]
-    for t in range(iterations):
+    for _ in range(iterations):
         rule.step()
-        if rule.F is not Fs[-1]:  # every absorption assigns new F and G
-            Fs.append(rule.F)
-            Gs.append(rule.G)
-        epochs[t] = len(Fs) - 1
-        us[t] = rule.u
-        vs[t] = rule.v
     plan = rule.plan()
-
-    def pullback(dplan: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            fs = np.array(Fs)[epochs] + np.log(us)
-            gs = np.empty((iterations + 1, n))  # gs[t] feeds step t; gs[0] is the start
-            gs[0] = Gs[0]
-            np.add(np.array(Gs)[epochs], np.log(vs), out=gs[1:])
-            df, dg, dkernel = rule.plan_vjp(plan, dplan)
-            for t in range(iterations - 1, -1, -1):
-                rule.col_vjp(fs[t], gs[t + 1], dg, df, dkernel)
-                dg = rule.row_vjp(gs[t], fs[t], df, dkernel)
-                df = np.zeros(m)
-            return rule.cost_vjp(dkernel)
-
-    return plan, pullback
+    # The closure holds the rule, which holds nothing of the closure's,
+    # so both are freed by reference counting once the caller drops it.
+    return plan, lambda dplan: rule.pullback(plan, dplan)
 
 
 def exact_ot_bruteforce(cost: np.ndarray) -> tuple[float, tuple[int, ...]]:

@@ -11,6 +11,7 @@ from otce import (
     SyntheticTaskSpec,
     f_otce,
     generate_task_pair,
+    jc_otce,
     read_feature_file,
     write_feature_file,
 )
@@ -110,6 +111,21 @@ class TestScore:
         assert results["marginal_error"] == score.final_marginal_error
         assert results["converged"] == (score.final_marginal_error <= 1e-9)
         assert list(results)[-1] == "marginal_error"
+
+    def test_jc_label_diagnostics_reported_last(self, runner, task_files):
+        src, tgt = task_files
+        report = report_of(invoke(
+            runner, "score", "--metric", "jc-otce", "--source", src, "--target", tgt,
+            "--max-iter", 3,
+        ))
+        results = report["results"]
+        score = jc_otce(
+            read_feature_file(src), read_feature_file(tgt),
+            MetricConfig(sinkhorn=SinkhornConfig(max_iterations=3)),
+        )
+        assert list(results)[-3:] == ["marginal_error", "label_unconverged", "label_marginal_error"]
+        assert results["label_unconverged"] == score.label_unconverged == 4
+        assert results["label_marginal_error"] == score.label_marginal_error > 0.0
 
     def test_nce_marginal_error_is_zero(self, runner, tmp_path):
         a = make_set([[0.0], [1.0]], [0, 1])

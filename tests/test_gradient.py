@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -12,12 +15,14 @@ from otce import (
     nearest_centroid_probe,
     optimize_target_embeddings,
 )
+from otce import ot
 from otce.errors import (
     DimensionMismatch,
     DivergenceDetected,
     MissingClass,
     NonFiniteGradient,
 )
+from otce.ot import squared_euclidean_cost, uniform_marginal, unrolled_sinkhorn
 
 from conftest import make_set
 
@@ -157,6 +162,109 @@ class TestValueAndGrad:
         v2, g2 = f_otce_value_and_grad(xs, ys, xt, yt, scale_cfg)
         assert v1 == pytest.approx(v2, abs=1e-10)
         assert np.abs(g1 - g2).max() < 1e-8
+
+
+def log_sum_exp_walk(cost, config, iterations, dplan):
+    """Plan and d(cost) of ``iterations`` unrolled steps, the reverse walked
+    in log-sum-exp form at every half-step on the effective potentials."""
+    m, n = cost.shape
+    rule = ot._Rule.on(
+        cost, uniform_marginal(m), uniform_marginal(n), config.lam, absorb=config.log_domain
+    )
+    fs, gs = [], [rule.G]
+    for _ in range(iterations):
+        rule.step()
+        fs.append(rule.F + np.log(rule.u))
+        gs.append(rule.G + np.log(rule.v))
+    plan = rule.plan()
+    df, dg, dkernel = rule.plan_vjp(plan, dplan)
+    for t in range(iterations - 1, -1, -1):
+        rule.col_vjp(fs[t], gs[t + 1], dg, df, dkernel)
+        dg = rule.row_vjp(gs[t], fs[t], df, dkernel)
+        df = np.zeros(m)
+    return plan, rule.cost_vjp(dkernel)
+
+
+class TestUnrolledReverse:
+    # (row half redone, column half redone) of a step. On this 30 x 12
+    # instance the log-domain runs have steps of both mixed kinds; a keep
+    # range narrowed to [e^-1, e^1] also redoes both halves of some steps.
+    # Plain scaling never redoes a half-step.
+    @pytest.mark.parametrize(
+        "log_domain, lam, scale, keep, patterns",
+        [
+            (True, 0.01, 1.0, 30.0, {(False, True), (True, False)}),
+            (True, 1e-3, 0.2, 30.0, {(False, True), (True, False)}),
+            (True, 0.1, 1.0, 1.0, {(False, False), (False, True), (True, False), (True, True)}),
+            (False, 0.5, 1.0, 30.0, {(False, False)}),
+        ],
+    )
+    def test_pullback_matches_log_sum_exp_walk(
+        self, monkeypatch, log_domain, lam, scale, keep, patterns
+    ):
+        monkeypatch.setattr(ot, "_SCALING_LO", np.exp(-keep))
+        monkeypatch.setattr(ot, "_SCALING_HI", np.exp(keep))
+        rng = np.random.default_rng(0)
+        cost = squared_euclidean_cost(
+            scale * rng.normal(size=(30, 2)), scale * rng.normal(size=(12, 2))
+        )
+        dplan = rng.normal(size=cost.shape)
+        config = SinkhornConfig(lam=lam, log_domain=log_domain)
+        reference_plan, reference = log_sum_exp_walk(cost, config, 40, dplan)
+
+        # Whether each half-step of the forward was redone (it absorbed).
+        redone = []
+        for name in ("_take_u", "_take_v"):
+            def watched(rule, scaling, _take=getattr(ot._Rule, name)):
+                absorptions = rule.absorptions
+                _take(rule, scaling)
+                redone.append(rule.absorptions != absorptions)
+            monkeypatch.setattr(ot._Rule, name, watched)
+        plan, pullback = unrolled_sinkhorn(cost, config, 40)
+        steps = set(zip(redone[::2], redone[1::2]))
+
+        calls = {"row_vjp": 0, "col_vjp": 0}
+        for name in calls:
+            def counted(*args, _vjp=getattr(ot._Rule, name), _name=name):
+                calls[_name] += 1
+                return _vjp(*args)
+            monkeypatch.setattr(ot._Rule, name, counted)
+        dcost = pullback(dplan)
+
+        assert plan.tobytes() == reference_plan.tobytes()
+        assert np.abs(dcost - reference).max() <= 1e-12 * np.abs(reference).max()
+        assert patterns <= steps
+        assert log_domain or not any(redone)
+        # One log-sum-exp VJP per redone half-step; the start redoes both.
+        start = int(log_domain)
+        assert calls == {
+            "row_vjp": start + sum(redone[::2]),
+            "col_vjp": start + sum(redone[1::2]),
+        }
+
+    # At lam = 0.01 the log-domain reverse rebuilds earlier epochs' kernels.
+    @pytest.mark.parametrize("log_domain, lam", [(True, 0.01), (False, 0.5)])
+    def test_solve_freed_without_cycle_collection(self, monkeypatch, log_domain, lam):
+        rng = np.random.default_rng(1)
+        cost = squared_euclidean_cost(rng.normal(size=(30, 2)), rng.normal(size=(12, 2)))
+        kernels = []
+
+        def recorded_plan(rule, _plan=ot._Rule.plan):
+            kernels.append(weakref.ref(rule.work))
+            return _plan(rule)
+
+        monkeypatch.setattr(ot._Rule, "plan", recorded_plan)
+        gc.disable()
+        try:
+            config = SinkhornConfig(lam=lam, log_domain=log_domain)
+            plan, pullback = unrolled_sinkhorn(cost, config, 40)
+            pullback(np.ones_like(plan))
+            [kernel] = kernels
+            assert kernel() is not None
+            del plan, pullback
+            assert kernel() is None
+        finally:
+            gc.enable()
 
 
 class TestOptimize:

@@ -339,6 +339,42 @@ class TestJcOtce:
         joint = joint_label_distribution(plan, src.labels, tgt.labels, 2, 3)
         assert jc_otce(src, tgt, config).value == negative_conditional_entropy(joint)
 
+    @pytest.mark.parametrize("max_iterations", [3, 1000])
+    def test_label_diagnostics(self, rng, max_iterations):
+        # Three iterations leave every class-pair solve unconverged; the
+        # default cap lets them all converge on well-separated classes.
+        src = well_separated_set(rng, n=16, classes=2)
+        tgt = well_separated_set(rng, n=15, classes=3)
+        config = MetricConfig(sinkhorn=SinkhornConfig(max_iterations=max_iterations))
+        score = jc_otce(src, tgt, config)
+        pairs = ot.batched_sinkhorn(
+            [
+                squared_euclidean_cost(src.features[src.labels == a], tgt.features[tgt.labels == b])
+                for a in np.unique(src.labels)
+                for b in np.unique(tgt.labels)
+            ],
+            config.sinkhorn,
+        )
+        assert score.label_unconverged == np.count_nonzero(~pairs.converged)
+        worst = pairs.final_marginal_error.max()
+        assert score.label_marginal_error == pytest.approx(worst, rel=1e-6)
+        if max_iterations == 3:
+            assert score.label_unconverged == pairs.converged.size == 6
+            assert score.label_marginal_error > 1e-9
+        else:
+            assert score.label_unconverged == 0
+            assert score.label_marginal_error <= 1e-9
+
+    def test_no_label_diagnostics_without_label_term(self, rng):
+        src = well_separated_set(rng, n=12, classes=2)
+        tgt = well_separated_set(rng, n=12, classes=2)
+        capped = SinkhornConfig(max_iterations=3)
+        for score in (
+            jc_otce(src, tgt, MetricConfig(sinkhorn=capped, gamma=1.0)),
+            f_otce(src, tgt, MetricConfig(sinkhorn=capped)),
+        ):
+            assert (score.label_unconverged, score.label_marginal_error) == (0, 0.0)
+
     def test_range(self, rng):
         src = well_separated_set(rng, n=16, classes=2)
         tgt = well_separated_set(rng, n=16, classes=4)

@@ -11,6 +11,7 @@ from otce import (
     transport_cost,
     uniform_marginal,
 )
+from otce import ot
 from otce.errors import DimensionMismatch, NumericalOverflow, TooLarge
 
 
@@ -216,6 +217,32 @@ class TestSinkhorn:
             SinkhornConfig(max_iterations=0)
         with pytest.raises(ValueError):
             SinkhornConfig(marginal_tolerance=0.0)
+
+
+class TestKernelRebuild:
+    # An absorption rebuilds the kernel by a dense exp masked afterwards
+    # or by a where=-masked exp, chosen by the share of entries above the
+    # clamp; both must give the same bytes.
+    @pytest.mark.parametrize(
+        "shape, lam, dense",
+        [((100, 98), 0.005, True), ((1000, 1000), 0.0025, False)],
+        ids=["class-pair", "score-f"],
+    )
+    def test_forms_give_identical_bytes(self, monkeypatch, shape, lam, dense):
+        m, n = shape
+        rng = np.random.default_rng(3)
+        cost = squared_euclidean_cost(rng.normal(size=(m, 8)), rng.normal(size=(n, 8)))
+        rule = ot._Rule.on(cost, uniform_marginal(m), uniform_marginal(n), lam, absorb=True)
+        rule.step()  # the log-sum-exp start absorbs F and G and builds the kernel
+        above = rule.kernel + rule.F[:, None] + rule.G[None, :] > ot._EXP_CLAMP
+        assert (above.mean() > ot._DENSE_SHARE) == dense
+        built = []
+        for share in (0.0, 1.0):  # forces the dense form, then the masked one
+            monkeypatch.setattr(ot, "_DENSE_SHARE", share)
+            out = np.empty_like(rule.work)
+            rule._build(rule.F, rule.G, out)
+            built.append(out.tobytes())
+        assert built == [rule.work.tobytes()] * 2
 
 
 class TestTransportCost:
