@@ -9,6 +9,7 @@ the timing fields.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import hashlib
@@ -73,14 +74,24 @@ def _emit(command: str, config: dict, results: dict, timing_ms: dict) -> None:
     click.echo(json.dumps(report, indent=2))
 
 
+@contextlib.contextmanager
+def _as_input_errors():
+    """Report an option value that a config rejects as invalid input (exit 2)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise InputError(f"invalid option: {exc}") from exc
+
+
 def _metric_config(lam, gamma, max_iter, standardize, log_domain) -> MetricConfig:
-    return MetricConfig(
-        sinkhorn=SinkhornConfig(
-            lam=lam, max_iterations=max_iter, log_domain=log_domain
-        ),
-        gamma=gamma,
-        standardize_features=standardize,
-    )
+    with _as_input_errors():
+        return MetricConfig(
+            sinkhorn=SinkhornConfig(
+                lam=lam, max_iterations=max_iter, log_domain=log_domain
+            ),
+            gamma=gamma,
+            standardize_features=standardize,
+        )
 
 
 def _score_payload(score) -> dict:
@@ -307,15 +318,16 @@ def cmd_optimize(source_path, target_path, out_path, steps, lr, unroll, lam, see
     t0 = time.perf_counter()
     src = read_feature_file(source_path)
     tgt = read_feature_file(target_path)
-    config = GradConfig(
-        sinkhorn=SinkhornConfig(lam=lam),
-        unroll_iterations=unroll,
-        learning_rate=lr,
-        steps=steps,
-        source_batch=source_batch,
-        target_batch=target_batch,
-        seed=seed,
-    )
+    with _as_input_errors():
+        config = GradConfig(
+            sinkhorn=SinkhornConfig(lam=lam),
+            unroll_iterations=unroll,
+            learning_rate=lr,
+            steps=steps,
+            source_batch=source_batch,
+            target_batch=target_batch,
+            seed=seed,
+        )
     t1 = time.perf_counter()
     result = optimize_target_embeddings(src, tgt, config)
     t2 = time.perf_counter()

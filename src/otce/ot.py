@@ -15,15 +15,16 @@ degenerates; it is kept for cross-checking.
 
 The rule is written once, here: its kernel, its row and column
 half-updates in scaling and in log-sum-exp form, the plan, the cheap
-stopping estimate, and the reverse of each step. :func:`sinkhorn` drives
-it with early stopping; :func:`unrolled_sinkhorn` replays exactly K of
-the same steps for the differentiable path in :mod:`otce.gradient` and
-walks them backwards, each half-step in the form the forward ran it: a
-kept half-step as matvecs on its epoch's kernel (the kernel between two
-absorptions, rebuilt once per epoch), a redone one in log-sum-exp form;
-:func:`batched_sinkhorn` drives many small problems (jc-otce's class
-pairs) as padded stacks of problems of similar shape, with the same
-rule applied per problem wherever problems differ.
+stopping estimate, and the reverse of each step. One driver,
+:func:`_stops`, steps it until each problem stops: :func:`sinkhorn`'s
+one, or :func:`batched_sinkhorn`'s many small ones (jc-otce's class
+pairs) as padded stacks of problems of similar shape, with the same rule
+applied per problem wherever problems differ. :func:`unrolled_sinkhorn`
+replays exactly K of the same steps for the differentiable path in
+:mod:`otce.gradient` and walks them backwards, each half-step in the
+form the forward ran it: a kept half-step as matvecs on its epoch's
+kernel (the kernel between two absorptions, rebuilt once per epoch), a
+redone one in log-sum-exp form.
 
 The solvers and the unrolled reverse use no BLAS call: every product is
 an einsum or ufunc loop and every reduction runs in a fixed sequential
@@ -68,7 +69,7 @@ _DENSE_SHARE = 0.07
 class SinkhornConfig:
     """Entropic-solver knobs.
 
-    lam: entropic regularization weight, > 0. Default 0.1.
+    lam: entropic regularization weight, finite and > 0. Default 0.1.
     max_iterations: hard cap on full update pairs. Default 1000.
     marginal_tolerance: stop once the L-infinity marginal violation of
         the current plan is at or below this. Default 1e-9.
@@ -83,8 +84,9 @@ class SinkhornConfig:
     log_domain: bool = True
 
     def __post_init__(self) -> None:
-        if not self.lam > 0:
-            raise ValueError(f"lam must be > 0, got {self.lam!r}")
+        # Infinite lam gives the independent coupling, scored as converged.
+        if not 0 < self.lam < np.inf:
+            raise ValueError(f"lam must be finite and > 0, got {self.lam!r}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
         if not self.marginal_tolerance > 0:
@@ -293,6 +295,15 @@ class _Rule:
             return np.abs(self.nu * (v / self.v - 1.0)).max(axis=-1)
         return np.abs(self.nu * np.expm1(G + np.log(v) - self.G)).max(axis=-1)
 
+    def near(self, tol: float):
+        """The problems whose cheap estimate meets ``tol``: this one or none,
+        tested in Python, as the driver asks after every step."""
+        return (0,) if self.estimate() <= tol else ()
+
+    def problem(self, k: int) -> _Rule:
+        """Problem k of the rule; a one-problem rule is its own problem 0."""
+        return self
+
     def plan(self) -> np.ndarray:
         plan = self.work * self.u[:, None]
         plan *= self.v[None, :]
@@ -492,13 +503,13 @@ class _Batch(_Rule):
             self.redone.append((k, (G_before[k, :n].copy(), v_before[k, :n])))
             self._redo(k, _Rule._redo_col)
 
-    def estimate(self) -> np.ndarray:
+    def near(self, tol: float) -> np.ndarray:
         estimates = _Rule.estimate(self)
         for k, before in self.redone:
             rule = self.problem(k)
             rule.before = before
-            estimates[k] = _Rule.estimate(rule)
-        return estimates
+            estimates[k] = rule.estimate()
+        return np.flatnonzero(estimates <= tol)
 
     def retain(self, alive: np.ndarray) -> None:
         """Drop the problems not marked alive from the stacks."""
@@ -509,10 +520,36 @@ class _Batch(_Rule):
         self.shapes = [kernel.shape for kernel in self.kernels]
 
 
-def _marginal_error(plan: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> float:
-    row = np.abs(plan.sum(axis=1) - mu).max()
-    col = np.abs(plan.sum(axis=0) - nu).max()
-    return float(max(row, col))
+def _stops(rule: _Rule, problems, config: SinkhornConfig):
+    """Step ``rule`` until each of its problems stops, yielding each as it does.
+
+    ``problems`` names the problem in each slot. A problem stops once the
+    true marginal error of its plan, checked when its cheap estimate
+    meets the tolerance, meets it too, or at the iteration cap; it is
+    yielded as ``(name, plan, iterations, error)`` and dropped from the rule.
+    """
+    tol = config.marginal_tolerance
+    active = np.asarray(problems)
+    for iterations in range(1, config.max_iterations + 1):
+        rule.step()
+        last = iterations == config.max_iterations
+        candidates = range(active.size) if last else rule.near(tol)
+        if not len(candidates):
+            continue
+        alive = np.ones(active.size, dtype=bool)
+        for k in candidates:
+            problem = rule.problem(k)
+            plan = problem.plan()
+            row = np.abs(plan.sum(axis=1) - problem.mu).max()
+            error = float(max(row, np.abs(plan.sum(axis=0) - problem.nu).max()))
+            if error <= tol or last:
+                yield active[k], plan, iterations, error
+                alive[k] = False
+        if not alive.all():
+            active = active[alive]
+            if not active.size:
+                return
+            rule.retain(alive)
 
 
 def sinkhorn(
@@ -541,20 +578,11 @@ def sinkhorn(
         raise DimensionMismatch(f"cost must be 2-D, got ndim={cost.ndim}")
     _check_marginals(cost, mu, nu)
 
-    rule = _Rule.on(cost, mu, nu, config.lam, absorb=config.log_domain)
-    tol = config.marginal_tolerance
-    for iterations in range(1, config.max_iterations + 1):
-        rule.step()
-        # Cheap estimate; the true violation is verified before
-        # declaring convergence.
-        if rule.estimate() <= tol or iterations == config.max_iterations:
-            plan = rule.plan()
-            error = _marginal_error(plan, mu, nu)
-            if error <= tol:
-                break
-    # Free the kernel and workspace before the result is validated and
+    # Held by the driver alone, the rule is freed before the result is
     # scored, which allocates plan-sized temporaries of its own.
-    del rule
+    ((_, plan, iterations, error),) = _stops(
+        _Rule.on(cost, mu, nu, config.lam, absorb=config.log_domain), [0], config
+    )
     # The column update pins total mass to 1 up to float residue, so the
     # Coupling mass invariant holds without renormalizing (renormalizing
     # would break bit-equality with the unrolled gradient path).
@@ -563,7 +591,7 @@ def sinkhorn(
         coupling=coupling,
         iterations=iterations,
         final_marginal_error=error,
-        converged=error <= tol,
+        converged=error <= config.marginal_tolerance,
         transport_cost=transport_cost(coupling, cost),
     )
 
@@ -581,7 +609,7 @@ def batched_sinkhorn(costs, config: SinkhornConfig) -> BatchResult:
     """Solve entropic OT on uniform marginals for each 2-D cost, in batches.
 
     Problems of similar shape are solved as one batch (see
-    :func:`_batches`), and Python runs one iteration loop per batch: the
+    :func:`_batches`) in one run of :func:`sinkhorn`'s driver: the
     matvecs run on the batch's padded stack and everything else per
     problem (see :class:`_Batch`). Each problem stops when its own true
     marginal error meets the tolerance and is then dropped from its
@@ -604,7 +632,15 @@ def batched_sinkhorn(costs, config: SinkhornConfig) -> BatchResult:
         np.empty(count), np.empty(count, dtype=np.intp), np.empty(count), np.empty(count, dtype=bool)
     )
     for batch in _batches([cost.shape for cost in costs]):
-        _solve_batch(costs, batch, config, result)
+        # Held by the driver alone, the stacks are freed before the next batch.
+        stops = _stops(
+            _Batch([costs[b] for b in batch], config.lam, absorb=config.log_domain), batch, config
+        )
+        for b, plan, iterations, error in stops:
+            result.transport_cost[b] = transport_cost(plan, costs[b])
+            result.iterations[b] = iterations
+            result.final_marginal_error[b] = error
+            result.converged[b] = error <= config.marginal_tolerance
     return result
 
 
@@ -636,33 +672,6 @@ def _runs(order: list[int], axis: int, shapes) -> list[list[int]]:
         else:
             runs.append([k])
     return runs
-
-
-def _solve_batch(costs, batch: list[int], config: SinkhornConfig, result: BatchResult) -> None:
-    """Solve the problems ``batch`` indexes in ``costs`` as one stack, into ``result``."""
-    rule = _Batch([costs[b] for b in batch], config.lam, absorb=config.log_domain)
-    tol = config.marginal_tolerance
-    active = np.array(batch)  # the problem in each slot of the stacks
-    for iterations in range(1, config.max_iterations + 1):
-        rule.step()
-        last = iterations == config.max_iterations
-        alive = np.ones(active.size, dtype=bool)
-        for k in np.flatnonzero((rule.estimate() <= tol) | last):
-            problem = rule.problem(k)
-            plan = problem.plan()
-            error = _marginal_error(plan, problem.mu, problem.nu)
-            if error <= tol or last:
-                b = active[k]
-                result.transport_cost[b] = transport_cost(plan, costs[b])
-                result.iterations[b] = iterations
-                result.final_marginal_error[b] = error
-                result.converged[b] = error <= tol
-                alive[k] = False
-        if not alive.all():
-            active = active[alive]
-            if not active.size:
-                break
-            rule.retain(alive)
 
 
 class _Taped(_Rule):

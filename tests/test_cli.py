@@ -35,6 +35,13 @@ def report_of(result):
     return json.loads(result.output)
 
 
+def assert_invalid_option(result):
+    # A config's ValueError is reported as invalid input, not a traceback.
+    assert result.exit_code == 2, result.output
+    assert "error: invalid option:" in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
 def strip_timing(report):
     return {k: v for k, v in report.items() if k != "timing_ms"}
 
@@ -159,6 +166,18 @@ class TestScore:
         )
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("options", [
+        ("--metric", "f-otce", "--lambda", 0),
+        ("--metric", "f-otce", "--lambda", "nan"),
+        ("--metric", "f-otce", "--lambda", "inf"),
+        ("--metric", "f-otce", "--max-iter", 0),
+        ("--metric", "jc-otce", "--gamma", 2),
+    ])
+    def test_invalid_option_exit_2(self, runner, task_files, options):
+        src, tgt = task_files
+        result = invoke(runner, "score", "--source", src, "--target", tgt, *options)
+        assert_invalid_option(result)
+
     def test_report_deterministic_modulo_timing(self, runner, task_files):
         src, tgt = task_files
         args = ("score", "--metric", "jc-otce", "--source", src, "--target", tgt)
@@ -207,6 +226,19 @@ class TestRank:
         empty.mkdir()
         result = invoke(runner, "rank", "--target", tgt_path, "--sources", empty)
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("options", [("--lambda", "inf"), ("--gamma", -1)])
+    def test_invalid_option_exit_2(self, runner, tmp_path, rng, options):
+        tgt_path = tmp_path / "t.ftrs"
+        write_feature_file(well_separated_set(rng, n=8, classes=2), tgt_path)
+        sources = tmp_path / "zoo"
+        sources.mkdir()
+        write_feature_file(well_separated_set(rng, n=8, classes=2), sources / "a.ftrs")
+        result = invoke(
+            runner, "rank", "--target", tgt_path, "--sources", sources,
+            "--metric", "jc-otce", *options,
+        )
+        assert_invalid_option(result)
 
     def test_corrupt_source_exit_2_names_file(self, runner, tmp_path, rng):
         tgt_path = tmp_path / "t.ftrs"
@@ -286,6 +318,20 @@ class TestOptimize:
         values = {line.split(",")[1] for line in trace.read_text().splitlines()[1:]}
         assert len(values) == 1
         assert out.read_bytes() == tp.read_bytes()
+
+    @pytest.mark.parametrize("options", [("--unroll", 0), ("--lr", -1), ("--lambda", "inf")])
+    def test_invalid_option_exit_2(self, runner, tmp_path, options):
+        src, tgt = generate_task_pair(SyntheticTaskSpec(samples_per_class=6, seed=3))
+        sp, tp = tmp_path / "s.ftrs", tmp_path / "t.ftrs"
+        write_feature_file(src, sp)
+        write_feature_file(tgt, tp)
+        out = tmp_path / "o.ftrs"
+        result = invoke(
+            runner, "optimize", "--source", sp, "--target", tp, "--out", out,
+            "--steps", 1, *options,
+        )
+        assert_invalid_option(result)
+        assert not out.exists()
 
     def test_synthetic_task_improves(self, runner, tmp_path):
         spec = SyntheticTaskSpec(

@@ -19,7 +19,7 @@ from otce import (
     squared_euclidean_cost,
     uniform_marginal,
 )
-from otce import ot
+from otce import metrics, ot
 from otce.errors import DimensionMismatch, LabelOutOfRange, LengthMismatch
 
 from conftest import make_set, well_separated_set
@@ -319,18 +319,21 @@ class TestJcOtce:
         config = MetricConfig(sinkhorn=SinkhornConfig(lam=1e-3), gamma=0.0)
         assert abs(jc_otce(src, tgt, config).value) <= 1e-3
 
-    def test_standardized_equals_public_pieces_bitwise(self, rng):
-        # With standardization, jc-otce is the composition of its public
-        # pieces on the pooled-standardized features.
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_standardized_equals_public_pieces_bitwise(self, rng, standardize):
+        # jc-otce is the composition of its public pieces, on the
+        # pooled-standardized features when standardizing.
         scale = np.array([100.0, 1.0, 1.0, 1.0])
         base_s = well_separated_set(rng, n=20, classes=2)
         base_t = well_separated_set(rng, n=18, classes=3)
         src = make_set(base_s.features * scale, base_s.labels, 2)
         tgt = make_set(base_t.features * scale, base_t.labels, 3)
-        config = MetricConfig(gamma=0.5, standardize_features=True)
-        pooled = np.vstack([src.features, tgt.features])
-        mean, std = pooled.mean(axis=0), pooled.std(axis=0)
-        xs, xt = (src.features - mean) / std, (tgt.features - mean) / std
+        config = MetricConfig(gamma=0.5, standardize_features=standardize)
+        xs, xt = src.features, tgt.features
+        if standardize:
+            pooled = np.vstack([xs, xt])
+            mean, std = pooled.mean(axis=0), pooled.std(axis=0)
+            xs, xt = (xs - mean) / std, (xt - mean) / std
         label_term = label_distance_matrix(src, tgt, config)[src.labels][:, tgt.labels]
         cost = 0.5 * squared_euclidean_cost(xs, xt) + 0.5 * label_term
         plan = sinkhorn(
@@ -338,6 +341,22 @@ class TestJcOtce:
         ).coupling
         joint = joint_label_distribution(plan, src.labels, tgt.labels, 2, 3)
         assert jc_otce(src, tgt, config).value == negative_conditional_entropy(joint)
+
+    @pytest.mark.parametrize("standardize", [False, True])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0])
+    def test_one_sample_cost_per_call(self, monkeypatch, rng, gamma, standardize):
+        # The class-pair costs are blocks of the main solve's cost.
+        calls = []
+
+        def counting(xs, xt):
+            calls.append((xs.shape, xt.shape))
+            return squared_euclidean_cost(xs, xt)
+
+        monkeypatch.setattr(metrics, "squared_euclidean_cost", counting)
+        src = well_separated_set(rng, n=16, classes=2)
+        tgt = well_separated_set(rng, n=15, classes=3)
+        jc_otce(src, tgt, MetricConfig(gamma=gamma, standardize_features=standardize))
+        assert calls == [((16, 4), (15, 4))]
 
     @pytest.mark.parametrize("max_iterations", [3, 1000])
     def test_label_diagnostics(self, rng, max_iterations):
@@ -403,6 +422,11 @@ class TestNcePaired:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             nce_paired(np.array([0, 1]), np.array([0, 1, 0]))
+
+    def test_non_integer_labels_rejected(self):
+        for ys, yt in (([0.5, 1.0], [0, 1]), ([0, 1], [0.0, 1.0]), ([True, False], [0, 1])):
+            with pytest.raises(LabelOutOfRange):
+                nce_paired(ys, yt)
 
 
 class TestJointNormalizationEverywhere:

@@ -211,8 +211,9 @@ class TestSinkhorn:
             sinkhorn(cost, uniform_marginal(2), uniform_marginal(2))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SinkhornConfig(lam=0.0)
+        for lam in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                SinkhornConfig(lam=lam)
         with pytest.raises(ValueError):
             SinkhornConfig(max_iterations=0)
         with pytest.raises(ValueError):
