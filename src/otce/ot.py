@@ -11,7 +11,10 @@ potentials F and G, and the kernel is rebuilt (Schmitzer 2019,
 "Stabilized sparse scaling algorithms for entropy regularized
 transport"). Plain scaling (``log_domain=False``) never absorbs, keeps
 F = G = 0, and raises :class:`NumericalOverflow` when ``exp(-c/lam)``
-degenerates; it is kept for cross-checking.
+degenerates; it is kept for cross-checking. A rebuilt kernel is exactly
+zero below ``exp(-700)``; when few entries are left nonzero, the
+iteration steps over those alone (Schmitzer's sparse kernel, with no
+truncation beyond that clamp).
 
 The rule is written once, here: its kernel, its row and column
 half-updates in scaling and in log-sum-exp form, the plan, the cheap
@@ -27,9 +30,10 @@ kernel (the kernel between two absorptions, rebuilt once per epoch), a
 redone one in log-sum-exp form.
 
 The solvers and the unrolled reverse use no BLAS call: every product is
-an einsum or ufunc loop and every reduction runs in a fixed sequential
-order, so for a given cost the results are bit-stable across runs and
-thread counts. The BLAS product in :func:`squared_euclidean_cost` is not.
+an einsum, ufunc or sequential ``np.bincount`` loop and every reduction
+runs in a fixed sequential order, so for a given cost the results are
+bit-stable across runs and thread counts. The BLAS product in
+:func:`squared_euclidean_cost` is not.
 """
 
 from __future__ import annotations
@@ -64,6 +68,11 @@ _EXP_CLAMP = -700.0
 # at 1000x1000 with 2% above it took ~1.2x as long.
 _DENSE_SHARE = 0.07
 
+# A rebuilt kernel with at most this share of nonzeros runs its matvecs
+# over the nonzeros alone. A sparse matvec pair broke even with the dense
+# one near 9% at 1000x1000 and near 7-8% at 200x200 to 700x700.
+_SPARSE_SHARE = 0.07
+
 
 @dataclass(frozen=True)
 class SinkhornConfig:
@@ -72,7 +81,7 @@ class SinkhornConfig:
     lam: entropic regularization weight, finite and > 0. Default 0.1.
     max_iterations: hard cap on full update pairs. Default 1000.
     marginal_tolerance: stop once the L-infinity marginal violation of
-        the current plan is at or below this. Default 1e-9.
+        the current plan is at or below this; finite and > 0. Default 1e-9.
     log_domain: stabilize the scaling updates by absorbing them into
         log-domain potentials (default), instead of plain scaling, which
         raises NumericalOverflow when exp(-cost/lam) degenerates.
@@ -89,9 +98,10 @@ class SinkhornConfig:
             raise ValueError(f"lam must be finite and > 0, got {self.lam!r}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
-        if not self.marginal_tolerance > 0:
+        # An infinite tolerance would stop the first step, flagged converged.
+        if not 0 < self.marginal_tolerance < np.inf:
             raise ValueError(
-                f"marginal_tolerance must be > 0, got {self.marginal_tolerance!r}"
+                f"marginal_tolerance must be finite and > 0, got {self.marginal_tolerance!r}"
             )
 
 
@@ -210,16 +220,27 @@ class _Rule:
     kernel is unclamped, so honest underflow to zero shows up in the
     finite check of each half-update, which raises NumericalOverflow.
 
-    The matvecs are einsum loops, not BLAS calls, so their bits do not
-    depend on the BLAS thread count.
+    ``work`` is K's dense store, which the plan, the log-sum-exp form and
+    the reverse read. The matvecs are einsum loops over it, or, while an
+    absorption has left K sparse, ``np.bincount`` sums over K's nonzeros
+    (``pattern``: their rows, columns and values, in row-major order).
+    Both are sequential, not BLAS calls, so their bits do not depend on
+    the BLAS thread count. The sparse column product adds the same terms
+    in the same order as the einsum, so it is bit-identical; the sparse
+    row product differs from it by rounding.
     """
 
-    def __init__(self, kernel, work, mu, nu, lam: float, absorb: bool, F, G, u, v):
+    def __init__(
+        self, kernel, work, mu, nu, lam: float, absorb: bool, F, G, u, v, sparse=True
+    ):
         """The rule on prepared arrays: ``kernel`` is -cost/lam, ``work``
         holds K, F and G are the absorbed log potentials and u, v the
-        scalings."""
+        scalings. With ``sparse``, an absorption that leaves at most
+        _SPARSE_SHARE of K nonzero holds K's pattern for the matvecs."""
         self.lam = lam
         self.absorb = absorb
+        self.sparse = sparse
+        self.pattern = None
         self.absorptions = 0
         self.kernel = kernel
         self.work = work
@@ -251,9 +272,18 @@ class _Rule:
             self._start()
             return
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            self._take_u(self.mu / np.einsum(self._KV, self.work, self.v))
+            self._take_u(self.mu / self._matvec(self.v, 0))
             self.before = (self.G, self.v)
-            self._take_v(self.nu / np.einsum(self._KTU, self.work, self.u))
+            self._take_v(self.nu / self._matvec(self.u, 1))
+
+    def _matvec(self, scaling: np.ndarray, axis: int) -> np.ndarray:
+        """K v (axis 0) or K^T u (axis 1): an einsum over the dense K, or
+        with a held pattern a sequential bincount over K's nonzeros."""
+        if self.pattern is None:
+            return np.einsum(self._KTU if axis else self._KV, self.work, scaling)
+        rows, cols, data = self.pattern
+        into, read = (cols, rows) if axis else (rows, cols)
+        return np.bincount(into, weights=data * scaling[read], minlength=self.work.shape[axis])
 
     def _start(self) -> None:
         # Nothing is absorbed yet, so G is the starting g = 0.
@@ -322,15 +352,25 @@ class _Rule:
         return True
 
     def _absorb(self, f: np.ndarray, g: np.ndarray) -> None:
-        """Make f, g the absorbed potentials and rebuild K in place."""
+        """Make f, g the absorbed potentials, rebuild K in place and pick
+        the form of its matvecs."""
         self.F, self.G = f, g
         self.u = np.ones_like(f)
         self.v = np.ones_like(g)
         self.absorptions += 1
-        self._build(f, g, self.work)
+        above, count = self._build(f, g, self.work)
+        self.pattern = None
+        if self.sparse and count <= _SPARSE_SHARE * above.size:
+            # The entries above the clamp are exactly K's nonzeros.
+            index = np.flatnonzero(above)
+            rows, cols = np.divmod(index, above.shape[1])
+            self.pattern = rows, cols, self.work.take(index)
 
-    def _build(self, f: np.ndarray, g: np.ndarray, out: np.ndarray) -> None:
-        """K = exp(-cost/lam + f + g) into ``out``, zero below the clamp."""
+    def _build(self, f: np.ndarray, g: np.ndarray, out: np.ndarray):
+        """K = exp(-cost/lam + f + g) into ``out``, zero below the clamp.
+
+        Returns the mask of the entries above the clamp and their count.
+        """
         np.add(self.kernel, f[:, None], out=out)
         out += g[None, :]
         # Zeros below the clamp, not exp(_EXP_CLAMP): those entries times
@@ -338,13 +378,15 @@ class _Rule:
         # give the same bits; the where=-masked exp costs per run of the
         # mask, so it is the faster one only while few entries lie above.
         above = out > _EXP_CLAMP
-        if np.count_nonzero(above) > _DENSE_SHARE * out.size:
+        count = np.count_nonzero(above)
+        if count > _DENSE_SHARE * out.size:
             np.maximum(out, _EXP_CLAMP, out=out)
             np.exp(out, out=out)
             out *= above
         else:
             np.exp(out, out=out, where=above)
             np.maximum(out, 0.0, out=out)
+        return above, count
 
     # -- log-sum-exp form: the start, absorptions and their reverse --------
 
@@ -447,9 +489,11 @@ class _Batch(_Rule):
         assigns a new array (an absorption); :meth:`_redo` copies those back.
         """
         m, n = self.shapes[k]
+        # The stacked matvecs are dense, so its rebuilds hold no pattern.
         return _Rule(
             self.kernels[k], self.work[k, :m, :n], self.mu[k, :m], self.nu[k, :n],
             self.lam, self.absorb, self.F[k, :m], self.G[k, :n], self.u[k, :m], self.v[k, :n],
+            sparse=False,
         )
 
     def _redo(self, k: int, half) -> None:

@@ -27,6 +27,21 @@ def absorptions(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def kernel_forms(monkeypatch):
+    """Records the form each kernel rebuild leaves the rule's matvecs in:
+    "sparse" (over the held pattern of nonzeros) or "dense"."""
+    forms = []
+    absorb = ot._Rule._absorb
+
+    def recording(rule, f, g):
+        absorb(rule, f, g)
+        forms.append("dense" if rule.pattern is None else "sparse")
+
+    monkeypatch.setattr(ot._Rule, "_absorb", recording)
+    return forms
+
+
 def make_set(features, labels, classes=None, name="t"):
     labels = np.asarray(labels, dtype=np.int64)
     if classes is None:
@@ -42,3 +57,18 @@ def well_separated_set(rng, n=30, d=4, classes=3, separation=8.0, name="t"):
     labels = rng.integers(0, classes, size=n)
     feats = centers[labels] + 0.05 * rng.normal(size=(n, d))
     return make_set(feats, labels, classes, name=name)
+
+
+def clustered_pair(noise, clusters=40, size=10, seed=0):
+    """Source and target points in equal clusters 30 apart along one axis.
+
+    At lam = 0.1 their kernel is nonzero only within clusters, 1/clusters
+    of it, so the Sinkhorn rule steps it in the sparse form.
+    """
+    rng = np.random.default_rng(seed)
+    centers = np.zeros((clusters, 4))
+    centers[:, 0] = 30.0 * np.arange(clusters)
+    labels = np.repeat(np.arange(clusters), size)
+    xs = centers[labels] + noise * rng.normal(size=(labels.size, 4))
+    xt = centers[labels] + noise * rng.normal(size=(labels.size, 4))
+    return xs, xt

@@ -71,6 +71,24 @@ blocks = [
 batch = ot.batched_sinkhorn(blocks, SinkhornConfig(max_iterations=200))
 print("batch", batch.iterations.tolist(), digest(batch.transport_cost))
 
+# A default solve on clusters 30 apart, whose kernel is 1/40 nonzero
+# after each rebuild, so its matvecs run as bincounts over the nonzeros.
+held = np.random.default_rng(12)
+centers = np.zeros((40, 4))
+centers[:, 0] = 30.0 * np.arange(40)
+labels = np.repeat(np.arange(40), 10)
+cs = centers[labels] + 3.0 * held.normal(size=(400, 4))
+ct = centers[labels] + 3.0 * held.normal(size=(400, 4))
+clustered = (
+    np.einsum("ik,ik->i", cs, cs)[:, None] + np.einsum("jk,jk->j", ct, ct)[None, :]
+    - 2.0 * np.einsum("ik,jk->ij", cs, ct)
+)
+sparse = []
+ot._Rule._absorb = lambda rule, f, g: absorb(rule, f, g) or sparse.append(rule.pattern is not None)
+result = sinkhorn(clustered, uniform_marginal(400), uniform_marginal(400), solver)
+ot._Rule._absorb = absorb
+print("sparse", sum(sparse), len(sparse), result.iterations, digest(result.coupling.values))
+
 # Pipeline level: f-otce and its gradient from raw embeddings.
 value = f_otce(FeatureSet(xs, ys, 10), FeatureSet(xt, yt, 10), MetricConfig(sinkhorn=solver)).value
 plan = sinkhorn(squared_euclidean_cost(xs, xt), mu, nu, solver).coupling.values
@@ -112,6 +130,9 @@ def test_solver_bit_stable_across_blas_thread_counts(runs):
     assert int(count) >= 2  # the start plus at least one
     assert single["absorbing"] == double["absorbing"]
     assert single["batch"] == double["batch"]
+    [(held, count, _, _)] = single["sparse"]
+    assert int(held) == int(count) >= 2  # every rebuild held the pattern
+    assert single["sparse"] == double["sparse"]
 
 
 @pytest.mark.xfail(

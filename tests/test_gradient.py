@@ -24,7 +24,7 @@ from otce.errors import (
 )
 from otce.ot import squared_euclidean_cost, uniform_marginal, unrolled_sinkhorn
 
-from conftest import make_set
+from conftest import clustered_pair, make_set
 
 
 def finite_difference(xs, ys, xt, yt, config, h=1e-5):
@@ -128,6 +128,24 @@ class TestValueAndGrad:
             ),
         ).value
         assert value == reference
+
+    def test_value_equals_f_otce_in_sparse_form(self, kernel_forms):
+        # The solver and the unrolled forward both step this kernel by
+        # sparse matvecs, and must still take bit-identical steps.
+        xs, xt = clustered_pair(1.0, size=5)
+        ys, yt = np.arange(200) % 3, np.random.default_rng(1).integers(0, 3, size=200)
+        k = 37
+        value, _ = f_otce_value_and_grad(xs, ys, xt, yt, GradConfig(unroll_iterations=k))
+        solver = SinkhornConfig(max_iterations=k, marginal_tolerance=1e-300)
+        reference = f_otce(
+            make_set(xs, ys, classes=3), make_set(xt, yt, classes=3), MetricConfig(sinkhorn=solver)
+        ).value
+        assert kernel_forms == ["sparse", "sparse"]
+        assert value == reference
+        cost = squared_euclidean_cost(xs, xt)
+        plan, _ = unrolled_sinkhorn(cost, solver, k)
+        solved = ot.sinkhorn(cost, uniform_marginal(200), uniform_marginal(200), solver)
+        assert plan.tobytes() == solved.coupling.values.tobytes()
 
     def test_scaling_mode_gradient(self, rng):
         # moderate lambda keeps the scaling kernel healthy

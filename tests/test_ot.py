@@ -14,6 +14,8 @@ from otce import (
 from otce import ot
 from otce.errors import DimensionMismatch, NumericalOverflow, TooLarge
 
+from conftest import clustered_pair
+
 
 def _lse(a, axis):
     shift = a.max(axis=axis, keepdims=True)
@@ -216,8 +218,9 @@ class TestSinkhorn:
                 SinkhornConfig(lam=lam)
         with pytest.raises(ValueError):
             SinkhornConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            SinkhornConfig(marginal_tolerance=0.0)
+        for tolerance in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                SinkhornConfig(marginal_tolerance=tolerance)
 
 
 class TestKernelRebuild:
@@ -244,6 +247,81 @@ class TestKernelRebuild:
             rule._build(rule.F, rule.G, out)
             built.append(out.tobytes())
         assert built == [rule.work.tobytes()] * 2
+
+
+def clustered_cost(noise):
+    return squared_euclidean_cost(*clustered_pair(noise))
+
+
+class TestSparseKernel:
+    # A rebuild that leaves at most _SPARSE_SHARE of the kernel nonzero
+    # runs the matvecs as bincounts over its nonzeros. Both forms take
+    # the same steps; only the row sums round differently.
+    @staticmethod
+    def solve(monkeypatch, cost, share):
+        monkeypatch.setattr(ot, "_SPARSE_SHARE", share)
+        m, n = cost.shape
+        return sinkhorn(cost, uniform_marginal(m), uniform_marginal(n), SinkhornConfig(lam=0.1))
+
+    @staticmethod
+    def assert_agree(dense, other):
+        assert dense.iterations == other.iterations
+        assert dense.converged == other.converged
+        plan = dense.coupling.values
+        assert np.abs(other.coupling.values - plan).max() <= 1e-15 * plan.max()
+        assert other.transport_cost == pytest.approx(dense.transport_cost, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "noise, converged", [(0.3, True), (3.0, False)], ids=["converging", "absorbing"]
+    )
+    def test_forms_agree(self, monkeypatch, absorptions, kernel_forms, noise, converged):
+        cost = clustered_cost(noise)
+        m, n = cost.shape
+        rule = ot._Rule.on(cost, uniform_marginal(m), uniform_marginal(n), 0.1, absorb=True)
+        rule.step()
+        assert np.count_nonzero(rule.work) <= 0.03 * rule.work.size
+        results, counts = [], []
+        for share, form in ((0.0, "dense"), (1.0, "sparse")):
+            absorptions.clear()
+            kernel_forms.clear()
+            results.append(self.solve(monkeypatch, cost, share))
+            assert set(kernel_forms) == {form}
+            counts.append(len(absorptions))
+        assert counts[0] == counts[1] >= (1 if converged else 2)
+        assert results[0].converged == converged
+        self.assert_agree(*results)
+
+    def test_switching_forms_agree(self, monkeypatch, kernel_forms):
+        # The kernel's nonzeros grow from 3084 to 3177 of 160 000 over the
+        # rebuilds, so this share holds the pattern for the first ones
+        # only, and a later rebuild must drop it.
+        cost = clustered_cost(3.0)
+        dense = self.solve(monkeypatch, cost, 0.0)
+        kernel_forms.clear()
+        switching = self.solve(monkeypatch, cost, 3150 / 160_000)
+        assert kernel_forms[0] == "sparse" and kernel_forms[-1] == "dense"
+        self.assert_agree(dense, switching)
+
+    def test_batched_problems_stay_dense(self, kernel_forms):
+        # Each block is 1/20 nonzero, but the stacked matvecs are dense, so
+        # a class-pair rebuild holds no pattern.
+        cost = clustered_cost(3.0)
+        blocks = [cost[:200, :200], cost[200:, 200:]]
+        ot.batched_sinkhorn(blocks, SinkhornConfig(lam=0.1, max_iterations=20))
+        assert kernel_forms and set(kernel_forms) == {"dense"}
+
+    def test_column_products_bit_identical(self):
+        # Each column sum adds the same products in the same row order.
+        cost = clustered_cost(3.0)
+        m, n = cost.shape
+        rule = ot._Rule.on(cost, uniform_marginal(m), uniform_marginal(n), 0.1, absorb=True)
+        for _ in range(50):
+            rule.step()
+        assert rule.pattern is not None
+        dense = np.einsum(rule._KTU, rule.work, rule.u)
+        assert rule._matvec(rule.u, 1).tobytes() == dense.tobytes()
+        rows = rule._matvec(rule.v, 0)
+        assert np.abs(rows - np.einsum(rule._KV, rule.work, rule.v)).max() <= 1e-15 * rows.max()
 
 
 class TestTransportCost:
