@@ -277,12 +277,12 @@ def _read_pairs_csv(path: Path) -> list[ScoredPair]:
             if idx == 0 and not _parses_as_float(row[1]):
                 continue  # header line
             try:
+                score = float(row[1])
+                # NaN would print as bare NaN, which is not JSON.
+                if not np.isfinite(score):
+                    raise ValueError(f"score must be finite, got {row[1]!r}")
                 out.append(
-                    ScoredPair(
-                        task_id=row[0],
-                        transferability=float(row[1]),
-                        accuracy=float(row[2]),
-                    )
+                    ScoredPair(task_id=row[0], transferability=score, accuracy=float(row[2]))
                 )
             except ValueError as exc:
                 raise NonNumericField(f"{path}: row {idx}: {exc}") from exc

@@ -31,9 +31,10 @@ from .errors import (
     IoFailure,
     MissingClass,
     NonFiniteGradient,
+    NonFiniteValue,
     NumericalOverflow,
 )
-from .metrics import _aggregate_joint, _entropy_and_adjoint
+from .metrics import _aggregate_joint, _class_counts, _entropy_and_adjoint
 from .ot import SinkhornConfig, squared_euclidean_cost, unrolled_sinkhorn
 
 __all__ = [
@@ -73,8 +74,8 @@ class GradConfig:
     def __post_init__(self) -> None:
         if self.unroll_iterations < 1:
             raise ValueError(f"unroll_iterations must be >= 1, got {self.unroll_iterations!r}")
-        if not self.learning_rate >= 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate!r}")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate!r}")
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps!r}")
         if self.source_batch < 1 or self.target_batch < 1:
@@ -106,6 +107,10 @@ def f_otce_value_and_grad(
     K-iteration graph; source embeddings are treated as constants.
 
     Raises:
+        DimensionMismatch: features are not 2-D, differ in dimension or
+            are empty, or the labels do not fit them.
+        LabelOutOfRange: labels are not integers or are negative.
+        NonFiniteValue: a feature is NaN or infinite.
         NonFiniteGradient: the pipeline produced NaN/inf (plain-scaling
             iterations with a lambda too small for the instance; retry
             with log_domain=True).
@@ -115,9 +120,12 @@ def f_otce_value_and_grad(
     xt = np.asarray(xt, dtype=np.float64)
     ys = np.asarray(ys)
     yt = np.asarray(yt)
-    cs = int(ys.max()) + 1
-    ct = int(yt.max()) + 1
+    if not (np.isfinite(xs).all() and np.isfinite(xt).all()):
+        raise NonFiniteValue("features must be finite")
     cost = squared_euclidean_cost(xs, xt)
+    if not cost.size:
+        raise DimensionMismatch(f"need at least one sample on each side, got cost {cost.shape}")
+    cs, ct = _class_counts(ys, yt, cost.shape)
     lam = config.sinkhorn.lam
     try:
         plan, pullback = unrolled_sinkhorn(cost, config.sinkhorn, config.unroll_iterations)

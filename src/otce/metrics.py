@@ -78,15 +78,28 @@ def joint_label_distribution(
     plan = coupling.values if isinstance(coupling, Coupling) else np.asarray(coupling)
     ys = np.asarray(ys)
     yt = np.asarray(yt)
-    m, n = plan.shape
-    if ys.shape != (m,) or yt.shape != (n,):
-        raise DimensionMismatch(
-            f"labels {ys.shape}/{yt.shape} do not fit plan {plan.shape}"
-        )
+    _class_counts(ys, yt, plan.shape, source_classes, target_classes)
+    return _aggregate_joint(plan, ys, yt, source_classes, target_classes)
+
+
+def _class_counts(ys, yt, shape, source_classes=None, target_classes=None) -> tuple[int, int]:
+    """The class counts of labels ``ys``, ``yt`` of a plan of ``shape``, checked.
+
+    Each must be an integer vector with one label per row (ys) or column
+    (yt), each label in [0, count); a count left None is one past the
+    largest label.
+    """
+    if ys.shape != (shape[0],) or yt.shape != (shape[1],):
+        raise DimensionMismatch(f"labels {ys.shape}/{yt.shape} do not fit plan {shape}")
+    counts = []
     for name, labels, count in (("ys", ys, source_classes), ("yt", yt, target_classes)):
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise LabelOutOfRange(f"{name} must be integers, got dtype {labels.dtype}")
+        count = int(labels.max()) + 1 if count is None else count
         if labels.min() < 0 or labels.max() >= count:
             raise LabelOutOfRange(f"{name} contains labels outside [0, {count})")
-    return _aggregate_joint(plan, ys, yt, source_classes, target_classes)
+        counts.append(count)
+    return counts[0], counts[1]
 
 
 def _aggregate_joint(

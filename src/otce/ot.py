@@ -24,10 +24,10 @@ one, or :func:`batched_sinkhorn`'s many small ones (jc-otce's class
 pairs) as padded stacks of problems of similar shape, with the same rule
 applied per problem wherever problems differ. :func:`unrolled_sinkhorn`
 replays exactly K of the same steps for the differentiable path in
-:mod:`otce.gradient` and walks them backwards, each half-step in the
-form the forward ran it: a kept half-step as matvecs on its epoch's
-kernel (the kernel between two absorptions, rebuilt once per epoch), a
-redone one in log-sum-exp form.
+:mod:`otce.gradient` and walks them backwards, every half-step, kept or
+redone, the start's included, as matvecs on its epoch's kernel (the
+kernel between two absorptions, rebuilt once per epoch), with no exp
+per step.
 
 The solvers and the unrolled reverse use no BLAS call: every product is
 an einsum, ufunc or sequential ``np.bincount`` loop and every reduction
@@ -180,12 +180,11 @@ def _check_marginals(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> None:
 # potential g, starting from g = 0. _Rule computes each half-update as a
 # kernel matvec, and in log-sum-exp form to start and to absorb. The
 # solver and the unrolled gradient both drive _Rule.step, so their ops
-# match bit for bit. The reverse mirrors the form the forward ran: a
-# kept half-step is pulled back by matvecs on the kernel it used
-# (_Taped.pullback), a redone one, in log-sum-exp form on the effective
-# potentials, by the *_vjp of the same name. Each returns the adjoint of
-# the step's input potential (col_vjp adds it into df in place) and adds
-# the adjoint of -cost/lam into dkernel in place.
+# match bit for bit. The reverse has one form (_Taped.pullback): a
+# half-step's softmax is its epoch's kernel times u v^T, over mu or nu.
+# A redone half-step opens its epoch with u = v = 1, so the kernel its
+# absorption builds is its softmax, and it is pulled back by the same
+# matvecs as a kept one.
 
 # Scalings outside [e^-_ABSORB, e^_ABSORB] are absorbed into the log
 # potentials before the kernel products they scale lose precision.
@@ -388,7 +387,7 @@ class _Rule:
             np.maximum(out, 0.0, out=out)
         return above, count
 
-    # -- log-sum-exp form: the start, absorptions and their reverse --------
+    # -- log-sum-exp form: the start and absorptions ----------------------
 
     def row(self, g: np.ndarray) -> np.ndarray:
         """f = log_mu - LSE_j(-cost/lam + g), max-shifted."""
@@ -400,14 +399,6 @@ class _Rule:
         np.exp(work, out=work)
         return self.log_mu - (np.log(work.sum(axis=1)) + shift)
 
-    def row_vjp(self, g, f, df, dkernel) -> np.ndarray:
-        # d f / d (kernel + g) is minus the row softmax at this step.
-        soft = np.exp(
-            np.maximum(self.kernel + g[None, :] - (self.log_mu - f)[:, None], _EXP_CLAMP)
-        )
-        dkernel -= soft * df[:, None]
-        return -np.einsum("ij,i->j", soft, df)
-
     def col(self, f: np.ndarray) -> np.ndarray:
         """g = log_nu - LSE_i(-cost/lam + f), max-shifted."""
         work = self.work
@@ -417,14 +408,6 @@ class _Rule:
         np.maximum(work, _EXP_CLAMP, out=work)
         np.exp(work, out=work)
         return self.log_nu - (np.log(work.sum(axis=0)) + shift)
-
-    def col_vjp(self, f, g, dg, df, dkernel) -> None:
-        # d g / d (kernel + f) is minus the column softmax at this step.
-        soft = np.exp(
-            np.maximum(self.kernel + f[:, None] - (self.log_nu - g)[None, :], _EXP_CLAMP)
-        )
-        df -= np.einsum("ij,j->i", soft, dg)
-        dkernel -= soft * dg[None, :]
 
     def plan_vjp(self, plan, dplan):
         # plan = exp(kernel + f + g): one product serves all three adjoints.
@@ -721,25 +704,28 @@ def _runs(order: list[int], axis: int, shapes) -> list[list[int]]:
 class _Taped(_Rule):
     """The rule, taping what the reverse of each half-step needs.
 
-    ``tape`` holds one record (epoch, F, G, u, v) of the state after the
-    log-domain start (in plain scaling, of the state at the outset) and
-    one after each later row and column half-step; the epoch is the
-    absorption count, so it names the kernel the state's F and G build.
-    A half-step whose record has its predecessor's epoch was kept in
-    scaling form on that epoch's kernel; any other was redone in
-    log-sum-exp form and opened its epoch.
+    ``tape`` holds one record (epoch, F, G, u, v) of the state after
+    each half-step, 2K of them for K steps: a row half at each even
+    index, a column half at each odd one. The epoch is the absorption
+    count, so it names the kernel the record's F and G build; that
+    kernel times u v^T, over mu or nu, is the half-step's softmax, kept
+    or redone. The log-domain start's row half is taped as epoch 0 with
+    F = f and G = 0 (a redone half-step whose kernel no state holds);
+    its column half is the first absorbed state.
     """
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.tape = [] if self.absorb else [self._state()]
+        self.tape = []
 
     def _state(self):
         return self.absorptions, self.F, self.G, self.u, self.v
 
     def _start(self) -> None:
         _Rule._start(self)
-        self.tape.append(self._state())
+        # ``before`` still holds the starting g = 0 and v = 1.
+        G, v = self.before
+        self.tape += [(0, self.F, G, self.u, v), self._state()]
 
     def _take_u(self, u: np.ndarray) -> None:
         _Rule._take_u(self, u)
@@ -752,61 +738,47 @@ class _Taped(_Rule):
     def pullback(self, plan: np.ndarray, dplan: np.ndarray) -> np.ndarray:
         """d(loss)/d(cost) from d(loss)/d(plan), walking the taped steps back.
 
-        A kept half-step's softmax is its epoch's kernel times u v^T, over
-        mu (row half) or nu (column half), so its adjoints are one matvec
-        on that kernel, and its term of dkernel is the kernel times a
+        A half-step's softmax is its epoch's kernel times u v^T, over mu
+        (row half) or nu (column half), so its adjoints are one matvec on
+        that kernel, and its term of dkernel is the kernel times a
         rank-one product. Those terms are collected per epoch and added
         once, when the walk leaves the epoch; each earlier epoch's kernel
-        is rebuilt as its absorption built it (the last one is still in
-        ``work``). A redone half-step goes through its log-sum-exp VJP.
+        is rebuilt once, as its absorption built it (the last one is
+        still in ``work``). No half-step runs an exp of its own.
         """
         m, n = self.kernel.shape
         tape = self.tape
         neg_mu, neg_nu = -self.mu, -self.nu
         kernel, held = self.work, tape[-1][0]
-        # The rank-one factors of the held epoch's dkernel term, one
-        # column per kept half-step, from column ``first`` on.
+        # The rank-one factors of dkernel, column k for tape[k]; the held
+        # epoch's terms are the columns from k + 1 up to ``end``.
         rows = np.empty((m, len(tape)))
         cols = np.empty((n, len(tape)))
-        first = taken = 0
+        end = len(tape)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             df, dg, dkernel = self.plan_vjp(plan, dplan)
-            # tape[k] follows a row half-step for odd k, a column one for even k.
-            for k in range(len(tape) - 1, 0, -1):
+            for k in range(len(tape) - 1, -1, -1):
                 epoch, F, G, u, v = tape[k]
-                kept = epoch == tape[k - 1][0]
-                if kept and epoch != held:
-                    dkernel += _rank_sum(rows[:, first:taken], cols[:, first:taken], kernel)
+                if epoch != held:
+                    dkernel += _rank_sum(rows[:, k + 1:end], cols[:, k + 1:end], kernel)
                     if kernel is self.work:
                         kernel = np.empty_like(kernel)
                     self._build(F, G, kernel)
-                    held, first = epoch, taken
+                    held, end = epoch, k + 1
                 if k % 2:
-                    if kept:
-                        # soft = K u v^T / mu: dkernel gets K (-u df / mu) v^T.
-                        a = np.multiply(df, u, out=rows[:, taken])
-                        a /= neg_mu
-                        cols[:, taken] = v
-                        taken += 1
-                        dg = v * np.einsum(self._KTU, kernel, a)
-                    else:
-                        dg = self.row_vjp(G, F, df, dkernel)
-                    df = np.zeros(m)
-                elif kept:
                     # soft = K u v^T / nu: dkernel gets K u (-v dg / nu)^T.
-                    b = np.multiply(dg, v, out=cols[:, taken])
+                    b = np.multiply(dg, v, out=cols[:, k])
                     b /= neg_nu
-                    rows[:, taken] = u
-                    taken += 1
+                    rows[:, k] = u
                     df += u * np.einsum(self._KV, kernel, b)
                 else:
-                    self.col_vjp(F, G, dg, df, dkernel)
-            dkernel += _rank_sum(rows[:, first:taken], cols[:, first:taken], kernel)
-            if self.absorb:
-                # The start: a log-sum-exp pair from g = 0.
-                _, F, G, _, _ = tape[0]
-                self.col_vjp(F, G, dg, df, dkernel)
-                self.row_vjp(np.zeros(n), F, df, dkernel)
+                    # soft = K u v^T / mu: dkernel gets K (-u df / mu) v^T.
+                    a = np.multiply(df, u, out=rows[:, k])
+                    a /= neg_mu
+                    cols[:, k] = v
+                    dg = v * np.einsum(self._KTU, kernel, a)
+                    df = np.zeros(m)
+            dkernel += _rank_sum(rows[:, :end], cols[:, :end], kernel)
             return self.cost_vjp(dkernel)
 
 
@@ -822,9 +794,9 @@ def unrolled_sinkhorn(cost: np.ndarray, config: SinkhornConfig, iterations: int)
     stopping (``config``'s iteration cap and tolerance do not apply), so
     the plan equals the solver's plan after that many iterations. Returns
     ``(plan, pullback)``: ``pullback(dplan)`` maps d(loss)/d(plan) to
-    d(loss)/d(cost) by walking the same steps backwards, each in the form
-    the forward ran it. Non-finite adjoints are left for the caller to
-    detect.
+    d(loss)/d(cost) by walking the same steps backwards, each as matvecs
+    on the kernel of its epoch. Non-finite adjoints are left for the
+    caller to detect.
 
     Raises:
         NumericalOverflow: scaling mode only, as in :func:`sinkhorn`.

@@ -286,6 +286,13 @@ class TestCorr:
         report = report_of(invoke(runner, "corr", "--pairs", path))
         assert report["results"]["n"] == 2
 
+    @pytest.mark.parametrize("score", ["nan", "inf"])
+    def test_non_finite_score_exit_2(self, runner, tmp_path, score):
+        path = self._write(tmp_path, ["a,-0.9,0.1", f"b,{score},0.5", "c,-0.1,0.9"])
+        result = invoke(runner, "corr", "--pairs", path)
+        assert result.exit_code == 2
+        assert "must be finite" in result.output
+
 
 class TestOptimize:
     def test_zero_steps_bit_exact(self, runner, tmp_path, rng):
@@ -319,7 +326,9 @@ class TestOptimize:
         assert len(values) == 1
         assert out.read_bytes() == tp.read_bytes()
 
-    @pytest.mark.parametrize("options", [("--unroll", 0), ("--lr", -1), ("--lambda", "inf")])
+    @pytest.mark.parametrize(
+        "options", [("--unroll", 0), ("--lr", -1), ("--lambda", "inf"), ("--lr", "inf")]
+    )
     def test_invalid_option_exit_2(self, runner, tmp_path, options):
         src, tgt = generate_task_pair(SyntheticTaskSpec(samples_per_class=6, seed=3))
         sp, tp = tmp_path / "s.ftrs", tmp_path / "t.ftrs"

@@ -19,8 +19,10 @@ from otce import ot
 from otce.errors import (
     DimensionMismatch,
     DivergenceDetected,
+    LabelOutOfRange,
     MissingClass,
     NonFiniteGradient,
+    NonFiniteValue,
 )
 from otce.ot import squared_euclidean_cost, uniform_marginal, unrolled_sinkhorn
 
@@ -182,6 +184,36 @@ class TestValueAndGrad:
         assert np.abs(g1 - g2).max() < 1e-8
 
 
+class TestInputValidation:
+    # Each bad input is caught before the solve, as an input error.
+    @pytest.mark.parametrize(
+        "case, error",
+        [
+            ("negative label", LabelOutOfRange),
+            ("short labels", DimensionMismatch),
+            ("float labels", LabelOutOfRange),
+            ("nan feature", NonFiniteValue),
+        ],
+    )
+    def test_bad_input_raises_input_error(self, rng, monkeypatch, case, error):
+        xs, ys, xt, yt = random_instance(rng, m=6, n=5, classes=3)
+        if case == "negative label":
+            ys[2] = -1
+        elif case == "short labels":
+            yt = yt[:-1]
+        elif case == "float labels":
+            ys = ys.astype(np.float64)
+        else:
+            xt[1, 0] = np.nan
+
+        def unreached(*args):
+            raise AssertionError("solved an invalid input")
+
+        monkeypatch.setattr(otce.gradient, "unrolled_sinkhorn", unreached)
+        with pytest.raises(error):
+            f_otce_value_and_grad(xs, ys, xt, yt, GradConfig(unroll_iterations=5))
+
+
 def log_sum_exp_walk(cost, config, iterations, dplan):
     """Plan and d(cost) of ``iterations`` unrolled steps, the reverse walked
     in log-sum-exp form at every half-step on the effective potentials."""
@@ -195,10 +227,20 @@ def log_sum_exp_walk(cost, config, iterations, dplan):
         fs.append(rule.F + np.log(rule.u))
         gs.append(rule.G + np.log(rule.v))
     plan = rule.plan()
+
+    def soft(shift):
+        return np.exp(np.maximum(rule.kernel + shift, ot._EXP_CLAMP))
+
     df, dg, dkernel = rule.plan_vjp(plan, dplan)
     for t in range(iterations - 1, -1, -1):
-        rule.col_vjp(fs[t], gs[t + 1], dg, df, dkernel)
-        dg = rule.row_vjp(gs[t], fs[t], df, dkernel)
+        # d g / d (kernel + f) is minus the column softmax at this step.
+        col = soft(fs[t][:, None] - (rule.log_nu - gs[t + 1])[None, :])
+        df -= np.einsum("ij,j->i", col, dg)
+        dkernel -= col * dg[None, :]
+        # d f / d (kernel + g) is minus the row softmax at this step.
+        row = soft(gs[t][None, :] - (rule.log_mu - fs[t])[:, None])
+        dkernel -= row * df[:, None]
+        dg = -np.einsum("ij,i->j", row, df)
         df = np.zeros(m)
     return plan, rule.cost_vjp(dkernel)
 
@@ -241,24 +283,23 @@ class TestUnrolledReverse:
         plan, pullback = unrolled_sinkhorn(cost, config, 40)
         steps = set(zip(redone[::2], redone[1::2]))
 
-        calls = {"row_vjp": 0, "col_vjp": 0}
-        for name in calls:
-            def counted(*args, _vjp=getattr(ot._Rule, name), _name=name):
-                calls[_name] += 1
-                return _vjp(*args)
-            monkeypatch.setattr(ot._Rule, name, counted)
+        builds = []
+
+        def counted(rule, f, g, out, _build=ot._Rule._build):
+            builds.append(rule)
+            return _build(rule, f, g, out)
+
+        monkeypatch.setattr(ot._Rule, "_build", counted)
         dcost = pullback(dplan)
 
         assert plan.tobytes() == reference_plan.tobytes()
         assert np.abs(dcost - reference).max() <= 1e-12 * np.abs(reference).max()
         assert patterns <= steps
         assert log_domain or not any(redone)
-        # One log-sum-exp VJP per redone half-step; the start redoes both.
+        # Every epoch but the last is rebuilt once: one per absorption,
+        # the start's included, and none in plain scaling.
         start = int(log_domain)
-        assert calls == {
-            "row_vjp": start + sum(redone[::2]),
-            "col_vjp": start + sum(redone[1::2]),
-        }
+        assert len(builds) == start + sum(redone)
 
     # At lam = 0.01 the log-domain reverse rebuilds earlier epochs' kernels.
     @pytest.mark.parametrize("log_domain, lam", [(True, 0.01), (False, 0.5)])
