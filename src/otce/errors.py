@@ -32,7 +32,7 @@ class DimensionMismatch(InputError):
 
 
 class NonFiniteValue(InputError):
-    """A feature payload contains NaN or infinity."""
+    """Features, a coupling or paired scores contain NaN or infinity."""
 
 
 class LabelOutOfRange(InputError):

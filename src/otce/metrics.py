@@ -91,6 +91,9 @@ def _class_counts(ys, yt, shape, source_classes=None, target_classes=None) -> tu
     """
     if ys.shape != (shape[0],) or yt.shape != (shape[1],):
         raise DimensionMismatch(f"labels {ys.shape}/{yt.shape} do not fit plan {shape}")
+    # An empty side has no label range to check.
+    if not ys.size or not yt.size:
+        raise DimensionMismatch(f"plan {shape} has no rows or no columns")
     counts = []
     for name, labels, count in (("ys", ys, source_classes), ("yt", yt, target_classes)):
         if not np.issubdtype(labels.dtype, np.integer):

@@ -12,9 +12,11 @@ potentials F and G, and the kernel is rebuilt (Schmitzer 2019,
 transport"). Plain scaling (``log_domain=False``) never absorbs, keeps
 F = G = 0, and raises :class:`NumericalOverflow` when ``exp(-c/lam)``
 degenerates; it is kept for cross-checking. A rebuilt kernel is exactly
-zero below ``exp(-700)``; when few entries are left nonzero, the
-iteration steps over those alone (Schmitzer's sparse kernel, with no
-truncation beyond that clamp).
+zero below a floor (:func:`_floor`) at which the dropped entries change
+no kept scaling update by more than 2^-53 e^-20 of itself, so in
+practice values are unchanged to the bit; when few entries are left
+nonzero, the iteration steps over those alone (Schmitzer's sparse
+truncated kernel).
 
 The rule is written once, here: its kernel, its row and column
 half-updates in scaling and in log-sum-exp form, the plan, the cheap
@@ -38,6 +40,7 @@ bit-stable across runs and thread counts. The BLAS product in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import permutations
 from typing import NamedTuple
@@ -57,13 +60,13 @@ __all__ = [
     "uniform_marginal",
 ]
 
-# Arguments below this are clamped before exp(). exp(-700) ~ 1e-304 is
-# already negligible against any retained mass, and the clamp keeps
+# Log-sum-exp arguments below this are clamped before exp(), and no
+# rebuilt kernel keeps an entry below exp(-700) ~ 1e-304: the clamp keeps
 # numpy's exp off its scalar fallback path for subnormal results.
 _EXP_CLAMP = -700.0
 
 # A kernel rebuild with more than this share of its entries above the
-# clamp runs exp densely and masks after. At 100x100 the dense form took
+# floor runs exp densely and masks after. At 100x100 the dense form took
 # half the time of the masked one at a 20% share and broke even near 7%;
 # at 1000x1000 with 2% above it took ~1.2x as long.
 _DENSE_SHARE = 0.07
@@ -193,6 +196,20 @@ _SCALING_LO = float(np.exp(-_ABSORB))
 _SCALING_HI = float(np.exp(_ABSORB))
 
 
+def _floor(log_mu: np.ndarray, log_nu: np.ndarray) -> float:
+    """ln tau, the truncation floor of a rebuilt m x n kernel on marginals
+    exp(log_mu) and exp(log_nu), never below _EXP_CLAMP.
+
+    A kept row half has (K v)_i = mu_i / u_i >= mu_i e^-_ABSORB and every
+    v_j <= e^_ABSORB, so the kernel entries below tau change it by at most
+    n tau e^(2 _ABSORB) / mu_i of itself; the column half likewise, with
+    m and nu. This tau holds that below 2^-53 e^-20: the unit roundoff,
+    with a margin of e^20.
+    """
+    spread = max(math.log(log_nu.size) - log_mu.min(), math.log(log_mu.size) - log_nu.min())
+    return max(_EXP_CLAMP, -(2.0 * _ABSORB + 53.0 * math.log(2.0) + 20.0 + float(spread)))
+
+
 def _in_range(scaling: np.ndarray, axis=None):
     """Whether the scalings lie in [e^-30, e^30]: all of them, or those
     of each problem along ``axis``."""
@@ -214,8 +231,9 @@ class _Rule:
     fresh scaling that is not finite or leaves [e^-30, e^30] is dropped:
     its half-update is redone in log-sum-exp form from the effective
     potentials (with ``work`` as its workspace), folded into F and G, u and v
-    reset to 1 and K rebuilt. Every half-update is thus the exact
-    Sinkhorn step. Without ``absorb`` (plain scaling) F = G = 0, the
+    reset to 1 and K rebuilt, exactly zero below a floor (see
+    :func:`_floor`). Every half-update is thus the exact Sinkhorn step,
+    to the bit in practice. Without ``absorb`` (plain scaling) F = G = 0, the
     kernel is unclamped, so honest underflow to zero shows up in the
     finite check of each half-update, which raises NumericalOverflow.
 
@@ -360,26 +378,29 @@ class _Rule:
         above, count = self._build(f, g, self.work)
         self.pattern = None
         if self.sparse and count <= _SPARSE_SHARE * above.size:
-            # The entries above the clamp are exactly K's nonzeros.
+            # The entries above the floor are exactly K's nonzeros.
             index = np.flatnonzero(above)
             rows, cols = np.divmod(index, above.shape[1])
             self.pattern = rows, cols, self.work.take(index)
 
     def _build(self, f: np.ndarray, g: np.ndarray, out: np.ndarray):
-        """K = exp(-cost/lam + f + g) into ``out``, zero below the clamp.
+        """K = exp(-cost/lam + f + g) into ``out``, zero below the rule's
+        floor (:func:`_floor`).
 
-        Returns the mask of the entries above the clamp and their count.
+        Returns the mask of the entries above the floor and their count.
         """
         np.add(self.kernel, f[:, None], out=out)
         out += g[None, :]
-        # Zeros below the clamp, not exp(_EXP_CLAMP): those entries times
-        # a small scaling would be subnormal, which is slow. Both forms
-        # give the same bits; the where=-masked exp costs per run of the
-        # mask, so it is the faster one only while few entries lie above.
-        above = out > _EXP_CLAMP
+        # Zeros below the floor, not exp(floor): exact zeros are what the
+        # sparse matvecs skip, and an entry near exp(-700) times a small
+        # scaling would be subnormal, which is slow. Both forms give the
+        # same bits; the where=-masked exp costs per run of the mask, so
+        # it is the faster one only while few entries lie above.
+        floor = _floor(self.log_mu, self.log_nu)
+        above = out > floor
         count = np.count_nonzero(above)
         if count > _DENSE_SHARE * out.size:
-            np.maximum(out, _EXP_CLAMP, out=out)
+            np.maximum(out, floor, out=out)
             np.exp(out, out=out)
             out *= above
         else:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, EmptyInput, LengthMismatch
+from .errors import DegenerateInput, EmptyInput, LengthMismatch, NonFiniteValue
 
 __all__ = ["ScoredPair", "spearman_rho", "kendall_tau", "rank_sources"]
 
@@ -39,16 +39,15 @@ def _paired(acc, trf) -> tuple[np.ndarray, np.ndarray]:
         raise LengthMismatch(f"lengths differ: {acc.shape[0]} vs {trf.shape[0]}")
     if acc.shape[0] < 2:
         raise DegenerateInput(f"need at least 2 pairs, got {acc.shape[0]}")
+    # NaN has no rank, and infinity turns the sign differences into NaN.
+    if not (np.isfinite(acc).all() and np.isfinite(trf).all()):
+        raise NonFiniteValue("accuracies and transferabilities must be finite")
     return acc, trf
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values share the mean of their ordinal ranks.
-
-    Any NaN makes every rank NaN, as in ``scipy.stats.rankdata``.
-    """
-    if np.isnan(x).any():
-        return np.full(x.shape[0], np.nan)
+    """1-based ranks of finite values (``_paired`` rejects NaN and
+    infinity); tied values share the mean of their ordinal ranks."""
     order = np.argsort(x, kind="stable")
     ordered = x[order]
     first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])

@@ -60,6 +60,13 @@ class TestJointLabelDistribution:
         with pytest.raises(LabelOutOfRange):
             joint_label_distribution(plan, np.array([0, 5]), np.array([0, 1]), 2, 2)
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_plan(self, shape):
+        ys = np.zeros(shape[0], dtype=np.int64)
+        yt = np.zeros(shape[1], dtype=np.int64)
+        with pytest.raises(DimensionMismatch):
+            joint_label_distribution(np.zeros(shape), ys, yt, 2, 2)
+
     def test_normalization(self, rng):
         plan = rng.uniform(size=(8, 5))
         plan /= plan.sum()

@@ -226,10 +226,10 @@ class TestSinkhorn:
 class TestKernelRebuild:
     # An absorption rebuilds the kernel by a dense exp masked afterwards
     # or by a where=-masked exp, chosen by the share of entries above the
-    # clamp; both must give the same bytes.
+    # floor; both must give the same bytes.
     @pytest.mark.parametrize(
         "shape, lam, dense",
-        [((100, 98), 0.005, True), ((1000, 1000), 0.0025, False)],
+        [((100, 98), 0.03, True), ((1000, 1000), 0.0025, False)],
         ids=["class-pair", "score-f"],
     )
     def test_forms_give_identical_bytes(self, monkeypatch, shape, lam, dense):
@@ -238,7 +238,8 @@ class TestKernelRebuild:
         cost = squared_euclidean_cost(rng.normal(size=(m, 8)), rng.normal(size=(n, 8)))
         rule = ot._Rule.on(cost, uniform_marginal(m), uniform_marginal(n), lam, absorb=True)
         rule.step()  # the log-sum-exp start absorbs F and G and builds the kernel
-        above = rule.kernel + rule.F[:, None] + rule.G[None, :] > ot._EXP_CLAMP
+        floor = ot._floor(rule.log_mu, rule.log_nu)
+        above = rule.kernel + rule.F[:, None] + rule.G[None, :] > floor
         assert (above.mean() > ot._DENSE_SHARE) == dense
         built = []
         for share in (0.0, 1.0):  # forces the dense form, then the masked one
@@ -292,13 +293,13 @@ class TestSparseKernel:
         self.assert_agree(*results)
 
     def test_switching_forms_agree(self, monkeypatch, kernel_forms):
-        # The kernel's nonzeros grow from 3084 to 3177 of 160 000 over the
+        # The kernel's nonzeros grow from 1043 to 1187 of 160 000 over the
         # rebuilds, so this share holds the pattern for the first ones
         # only, and a later rebuild must drop it.
         cost = clustered_cost(3.0)
         dense = self.solve(monkeypatch, cost, 0.0)
         kernel_forms.clear()
-        switching = self.solve(monkeypatch, cost, 3150 / 160_000)
+        switching = self.solve(monkeypatch, cost, 1100 / 160_000)
         assert kernel_forms[0] == "sparse" and kernel_forms[-1] == "dense"
         self.assert_agree(dense, switching)
 
@@ -322,6 +323,83 @@ class TestSparseKernel:
         assert rule._matvec(rule.u, 1).tobytes() == dense.tobytes()
         rows = rule._matvec(rule.v, 0)
         assert np.abs(rows - np.einsum(rule._KV, rule.work, rule.v)).max() <= 1e-15 * rows.max()
+
+
+def class_cost(classes=10, size=30, dim=64, separation=5.0, seed=0):
+    """Squared distances between two unit-noise clouds around the same
+    class centroids, pairwise ``separation`` apart: jc-otce's main solve
+    in miniature. At lam = 0.1 ~70% of each rebuilt kernel lies above
+    exp(-700) but under 3% above the floor."""
+    rng = np.random.default_rng(seed)
+    frame, _ = np.linalg.qr(rng.normal(size=(dim, classes)))
+    centers = (separation / np.sqrt(2.0)) * frame.T
+    labels = np.repeat(np.arange(classes), size)
+    xs = centers[labels] + rng.normal(size=(labels.size, dim))
+    xt = centers[labels] + rng.normal(size=(labels.size, dim))
+    return squared_euclidean_cost(xs, xt)
+
+
+class TestKernelFloor:
+    # A rebuilt kernel is exactly zero below the rule's floor, whose
+    # dropped entries move no kept matvec by more than 2^-53 e^-20.
+    def test_floor_values(self):
+        uniform = np.log(uniform_marginal(1000))
+        assert ot._floor(uniform, uniform) == pytest.approx(-130.55, abs=0.01)
+        small = np.log(uniform_marginal(100))
+        assert ot._floor(small, small) == pytest.approx(-125.95, abs=0.01)
+        # A tiny marginal entry would put the floor below the clamp.
+        tiny = np.log(np.array([1e-300, 1.0]))
+        assert ot._floor(tiny, np.log(uniform_marginal(3))) == ot._EXP_CLAMP
+
+    def test_plain_scaling_kernel_is_not_truncated(self):
+        # exp(-200) lies below a 3 x 3 floor (about e^-119) and exp(-720)
+        # below the clamp; plain scaling keeps both, and its plan carries them.
+        cost = np.array([[0.0, 20.0, 72.0], [20.0, 0.0, 72.0], [72.0, 72.0, 0.0]])
+        mu = uniform_marginal(3)
+        rule = ot._Rule.on(cost, mu, mu, 0.1, absorb=False)
+        assert rule.work.tobytes() == np.exp(cost * (-1.0 / 0.1)).tobytes()
+        floor = np.exp(ot._floor(rule.log_mu, rule.log_nu))
+        assert 0.0 < rule.work.min() and (rule.work < floor).sum() == 6
+        plan = sinkhorn(cost, mu, mu, SinkhornConfig(log_domain=False)).coupling.values
+        assert (plan > 0).all() and plan[0, 1] < floor
+
+    @pytest.mark.parametrize("make", [lambda: clustered_cost(3.0), class_cost],
+                             ids=["clustered", "class"])
+    def test_matches_clamp_floor(self, monkeypatch, absorptions, make):
+        cost = make()
+        m, n = cost.shape
+        results, counts = [], []
+        for floor in (ot._floor, lambda log_mu, log_nu: ot._EXP_CLAMP):
+            monkeypatch.setattr(ot, "_floor", floor)
+            absorptions.clear()
+            results.append(
+                sinkhorn(cost, uniform_marginal(m), uniform_marginal(n), SinkhornConfig(lam=0.1))
+            )
+            counts.append(len(absorptions))
+        assert counts[0] == counts[1] >= 2
+        TestSparseKernel.assert_agree(*results)
+
+    def test_matvecs_match_untruncated_kernel(self):
+        cost = clustered_cost(3.0)
+        m, n = cost.shape
+        rule = ot._Rule.on(cost, uniform_marginal(m), uniform_marginal(n), 0.1, absorb=True)
+        for _ in range(200):
+            rule.step()
+        exponent = rule.kernel + rule.F[:, None] + rule.G[None, :]
+        # The floor has dropped entries the clamp would keep, and the
+        # scalings are near the edge of their range.
+        assert ((rule.work == 0) & (exponent > ot._EXP_CLAMP)).any()
+        assert np.abs(np.log(np.r_[rule.u, rule.v])).max() > 20
+        exact = np.exp(exponent)
+        for axis, scaling in ((0, rule.v), (1, rule.u)):
+            reference = np.einsum(rule._KTU if axis else rule._KV, exact, scaling)
+            assert np.abs(rule._matvec(scaling, axis) / reference - 1.0).max() <= 1e-15
+
+    def test_class_structured_rebuilds_are_sparse(self, kernel_forms):
+        cost = class_cost()
+        m, n = cost.shape
+        sinkhorn(cost, uniform_marginal(m), uniform_marginal(n), SinkhornConfig(lam=0.1))
+        assert len(kernel_forms) >= 2 and set(kernel_forms) == {"sparse"}
 
 
 class TestTransportCost:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from otce import ScoredPair, kendall_tau, rank_sources, spearman_rho
-from otce.errors import DegenerateInput, EmptyInput, LengthMismatch
+from otce.errors import DegenerateInput, EmptyInput, LengthMismatch, NonFiniteValue
 
 
 def kendall_brute(acc, trf):
@@ -131,6 +131,16 @@ class TestKendall:
         acc = rng.normal(size=30)
         trf = rng.normal(size=30)
         assert kendall_tau(acc, trf) == kendall_tau(np.expm1(acc), 10 * trf)
+
+
+@pytest.mark.parametrize("statistic", [spearman_rho, kendall_tau])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_rejected(statistic, value):
+    # A NaN has no rank, and an infinity makes a sign difference NaN.
+    with pytest.raises(NonFiniteValue):
+        statistic([0.1, 0.5, 0.9], [-0.9, value, -0.1])
+    with pytest.raises(NonFiniteValue):
+        statistic([0.1, -value, 0.9], [-0.9, 0.5, -0.1])
 
 
 class TestRankSources:
