@@ -16,7 +16,8 @@ zero below a floor (:func:`_floor`) at which the dropped entries change
 no kept scaling update by more than 2^-53 e^-20 of itself, so in
 practice values are unchanged to the bit; when few entries are left
 nonzero, the iteration steps over those alone (Schmitzer's sparse
-truncated kernel).
+truncated kernel), in 2-D and, while every problem of a batch holds its
+nonzeros, over a batch's padded stack.
 
 The rule is written once, here: its kernel, its row and column
 half-updates in scaling and in log-sum-exp form, the plan, the cheap
@@ -73,8 +74,18 @@ _DENSE_SHARE = 0.07
 
 # A rebuilt kernel with at most this share of nonzeros runs its matvecs
 # over the nonzeros alone. A sparse matvec pair broke even with the dense
-# one near 9% at 1000x1000 and near 7-8% at 200x200 to 700x700.
+# one near 9% at 1000x1000 and near 7-8% at 200x200 to 700x700. A _Batch
+# stack steps sparse while each of its problems is at or below it; on
+# jc-otce's 100 class pairs (a 100x100x107 stack, 2.9% nonzero) a stacked
+# bincount pair took 210-290 us against 1040-1160 us for the einsums.
 _SPARSE_SHARE = 0.07
+
+# A _Batch lays its problems' patterns out in one stacked pattern, each
+# in a slot 1/_ROOM longer than itself, and writes a rebuilt pattern that
+# fits its slot in place. On jc-otce's class pairs (perfbench seed 1), 7
+# layouts served 4542 rebuilds; concatenating the stacked pattern anew
+# at each of its ~1500 changes took ~0.26 s of a ~2 s label stage.
+_ROOM = 8
 
 
 @dataclass(frozen=True)
@@ -240,31 +251,30 @@ class _Rule:
     ``work`` is K's dense store, which the plan, the log-sum-exp form and
     the reverse read. The matvecs are einsum loops over it, or, while an
     absorption has left K sparse, ``np.bincount`` sums over K's nonzeros
-    (``pattern``: their rows, columns and values, in row-major order).
-    Both are sequential, not BLAS calls, so their bits do not depend on
-    the BLAS thread count. The sparse column product adds the same terms
-    in the same order as the einsum, so it is bit-identical; the sparse
-    row product differs from it by rounding.
+    (``pattern``: their flat rows, columns and values, in row-major
+    order; a _Batch holds one for its whole stack). Both are sequential,
+    not BLAS calls, so their bits do not depend on the BLAS thread count.
+    The sparse column product adds the same terms in the same order as
+    the einsum, so it is bit-identical; the sparse row product differs
+    from it by rounding.
     """
 
     def __init__(
-        self, kernel, work, mu, nu, lam: float, absorb: bool, F, G, u, v, sparse=True
+        self, kernel, work, mu, nu, log_mu, log_nu, lam: float, absorb: bool, F, G, u, v
     ):
         """The rule on prepared arrays: ``kernel`` is -cost/lam, ``work``
-        holds K, F and G are the absorbed log potentials and u, v the
-        scalings. With ``sparse``, an absorption that leaves at most
-        _SPARSE_SHARE of K nonzero holds K's pattern for the matvecs."""
+        holds K, ``log_mu`` and ``log_nu`` are the logs of the marginals,
+        F and G are the absorbed log potentials and u, v the scalings."""
         self.lam = lam
         self.absorb = absorb
-        self.sparse = sparse
         self.pattern = None
         self.absorptions = 0
         self.kernel = kernel
         self.work = work
         self.mu = mu
         self.nu = nu
-        self.log_mu = np.log(mu)
-        self.log_nu = np.log(nu)
+        self.log_mu = log_mu
+        self.log_nu = log_nu
         self.F, self.G, self.u, self.v = F, G, u, v
 
     @classmethod
@@ -276,7 +286,8 @@ class _Rule:
             np.exp(kernel, out=work)
         m, n = kernel.shape
         return cls(
-            kernel, work, mu, nu, lam, absorb, np.zeros(m), np.zeros(n), np.ones(m), np.ones(n)
+            kernel, work, mu, nu, np.log(mu), np.log(nu), lam, absorb,
+            np.zeros(m), np.zeros(n), np.ones(m), np.ones(n),
         )
 
     # Matvec subscripts; _Batch prefixes them with its problem axis.
@@ -300,7 +311,11 @@ class _Rule:
             return np.einsum(self._KTU if axis else self._KV, self.work, scaling)
         rows, cols, data = self.pattern
         into, read = (cols, rows) if axis else (rows, cols)
-        return np.bincount(into, weights=data * scaling[read], minlength=self.work.shape[axis])
+        # The pattern indexes the flattened stacks, so one bincount serves
+        # a 2-D kernel and a _Batch stack alike.
+        shape = scaling.shape[:-1] + (self.work.shape[axis - 2],)
+        weights = data * scaling.reshape(-1)[read]
+        return np.bincount(into, weights=weights, minlength=math.prod(shape)).reshape(shape)
 
     def _start(self) -> None:
         # Nothing is absorbed yet, so G is the starting g = 0.
@@ -377,7 +392,7 @@ class _Rule:
         self.absorptions += 1
         above, count = self._build(f, g, self.work)
         self.pattern = None
-        if self.sparse and count <= _SPARSE_SHARE * above.size:
+        if count <= _SPARSE_SHARE * above.size:
             # The entries above the floor are exactly K's nonzeros.
             index = np.flatnonzero(above)
             rows, cols = np.divmod(index, above.shape[1])
@@ -444,12 +459,19 @@ class _Batch(_Rule):
 
     Problem k fills the top-left m_k x n_k corner of slice k of the
     padded stacks; padded entries of the stacked kernel are zero and
-    padded scalings are held at 1, so the stacked einsum matvecs give
-    each problem its own products. Whatever differs between problems
-    runs per problem, through _Rule's own methods on a 2-D view of it
+    padded scalings are held at 1, so the stacked matvecs give each
+    problem its own products. Whatever differs between problems runs per
+    problem, through _Rule's own methods on a 2-D view of it
     (:meth:`problem`): the log-sum-exp start, the absorption of a scaling
     that leaves range, the log-form estimate after an absorption, and the
     plan.
+
+    While every problem's last rebuild held its pattern (``parts``), the
+    matvecs are one bincount over a stacked pattern (:meth:`_layout`),
+    which holds each problem's nonzeros in its own row-major order, so
+    each problem's sums add the same terms in the same order as
+    :func:`sinkhorn` on its cost alone; otherwise they are einsums over
+    the dense stack.
     """
 
     _KV = "bij,bj->bi"
@@ -476,7 +498,7 @@ class _Batch(_Rule):
         # are -inf in the padding, which no stacked step reads.
         with np.errstate(divide="ignore"):
             super().__init__(
-                None, np.zeros((count, rows, cols)), mu, nu, lam, absorb,
+                None, np.zeros((count, rows, cols)), mu, nu, np.log(mu), np.log(nu), lam, absorb,
                 np.zeros_like(mu), np.zeros_like(nu), np.ones_like(mu), np.ones_like(nu),
             )
         if not absorb:
@@ -485,6 +507,9 @@ class _Batch(_Rule):
         self.scratch = np.empty(rows * cols)
         self.pad_rows = mu == 0.0
         self.pad_cols = nu == 0.0
+        # Each problem's pattern in its own indices, or None while its
+        # kernel is dense.
+        self.parts = [None] * count
 
     def problem(self, k: int) -> _Rule:
         """Problem k as a 2-D _Rule on its own kernel and views into the stacks.
@@ -493,11 +518,10 @@ class _Batch(_Rule):
         assigns a new array (an absorption); :meth:`_redo` copies those back.
         """
         m, n = self.shapes[k]
-        # The stacked matvecs are dense, so its rebuilds hold no pattern.
         return _Rule(
             self.kernels[k], self.work[k, :m, :n], self.mu[k, :m], self.nu[k, :n],
-            self.lam, self.absorb, self.F[k, :m], self.G[k, :n], self.u[k, :m], self.v[k, :n],
-            sparse=False,
+            self.log_mu[k, :m], self.log_nu[k, :n], self.lam, self.absorb,
+            self.F[k, :m], self.G[k, :n], self.u[k, :m], self.v[k, :n],
         )
 
     def _redo(self, k: int, half) -> None:
@@ -505,7 +529,8 @@ class _Batch(_Rule):
 
         It works in contiguous scratch rather than in the strided view of
         the stack, where the kernel rebuild's masked exp takes about twice
-        as long, and the rebuilt kernel is then copied into the stack.
+        as long, and the rebuilt kernel is then copied into the stack. Its
+        pattern, if the rebuild left one, is kept for the stacked matvecs.
         """
         rule = self.problem(k)
         m, n = self.shapes[k]
@@ -514,6 +539,47 @@ class _Batch(_Rule):
         stacked[...] = rule.work
         self.F[k, :m], self.u[k, :m] = rule.F, rule.u
         self.G[k, :n], self.v[k, :n] = rule.G, rule.v
+        self.parts[k] = rule.pattern
+        if self.pattern is not None:
+            self._place(k)
+
+    def _layout(self) -> None:
+        """The stacked pattern: a slot per problem, 1/_ROOM longer than its
+        pattern, at the problem's offset in the flattened stacks."""
+        sizes = np.array([data.size for _, _, data in self.parts])
+        slots = sizes + sizes // _ROOM
+        stops = np.cumsum(slots)
+        self.slots = list(zip((stops - slots).tolist(), stops.tolist()))
+        first = np.arange(len(self.parts))
+        self.pattern = (
+            np.repeat(first * self.u.shape[1], slots),
+            np.repeat(first * self.v.shape[1], slots),
+            np.empty(stops[-1]),
+        )
+        for k in range(len(self.parts)):
+            self._place(k)
+
+    def _place(self, k: int) -> None:
+        """Write problem k's pattern into its slot of the stacked pattern,
+        or drop the stacked pattern if it no longer fits."""
+        part, (start, stop) = self.parts[k], self.slots[k]
+        if part is None or start + part[2].size > stop:
+            self.pattern = None
+            return
+        end = start + part[2].size
+        rows, cols, data = self.pattern
+        np.add(part[0], k * self.u.shape[1], out=rows[start:end])
+        np.add(part[1], k * self.v.shape[1], out=cols[start:end])
+        data[start:end] = part[2]
+        # The slot's rest indexes problem k's rows and columns, at weight
+        # zero, so it adds nothing to its sums.
+        data[end:stop] = 0.0
+
+    def _matvec(self, scaling: np.ndarray, axis: int) -> np.ndarray:
+        # The stack steps sparse only while every problem holds a pattern.
+        if self.pattern is None and all(part is not None for part in self.parts):
+            self._layout()
+        return _Rule._matvec(self, scaling, axis)
 
     def step(self) -> None:
         # (k, (G, v) before the column update) of each problem whose
@@ -566,6 +632,8 @@ class _Batch(_Rule):
             setattr(self, name, getattr(self, name)[alive])
         self.kernels = [kernel for kernel, keep in zip(self.kernels, alive) if keep]
         self.shapes = [kernel.shape for kernel in self.kernels]
+        self.parts = [part for part, keep in zip(self.parts, alive) if keep]
+        self.pattern = None
 
 
 def _stops(rule: _Rule, problems, config: SinkhornConfig):
@@ -662,8 +730,12 @@ def batched_sinkhorn(costs, config: SinkhornConfig) -> BatchResult:
     problem (see :class:`_Batch`). Each problem stops when its own true
     marginal error meets the tolerance and is then dropped from its
     batch, so it takes the steps, absorptions and stopping iteration of
-    :func:`sinkhorn` on its cost alone, and its values agree with that
-    solve to rounding (the padded row matvec sums in another order).
+    :func:`sinkhorn` on its cost alone. If the batch steps sparse
+    throughout (see :class:`_Batch`), its values equal that solve's to
+    the bit. Where it steps dense (scaling mode, or while a problem is
+    above _SPARSE_SHARE) they agree to rounding: the dense padded row
+    matvec sums in another order than :func:`sinkhorn`'s einsum or
+    bincount.
 
     Raises:
         DimensionMismatch: a cost is not 2-D or not finite.

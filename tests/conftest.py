@@ -42,6 +42,23 @@ def kernel_forms(monkeypatch):
     return forms
 
 
+@pytest.fixture
+def batch_forms(monkeypatch):
+    """Records the form each stacked matvec of a batched solve ran in:
+    "sparse" (one bincount over the stacked pattern) or "dense" (an
+    einsum over the padded stack)."""
+    forms = []
+    matvec = ot._Batch._matvec
+
+    def recording(batch, scaling, axis):
+        product = matvec(batch, scaling, axis)
+        forms.append("dense" if batch.pattern is None else "sparse")
+        return product
+
+    monkeypatch.setattr(ot._Batch, "_matvec", recording)
+    return forms
+
+
 def make_set(features, labels, classes=None, name="t"):
     labels = np.asarray(labels, dtype=np.int64)
     if classes is None:

@@ -89,6 +89,22 @@ result = sinkhorn(clustered, uniform_marginal(400), uniform_marginal(400), solve
 ot._Rule._absorb = absorb
 print("sparse", sum(sparse), len(sparse), result.iterations, digest(result.coupling.values))
 
+# A batched solve on blocks of the clustered cost, of unequal shapes,
+# whose stacked matvecs run as one bincount over the stack's nonzeros.
+stacked = []
+matvec = ot._Batch._matvec
+ot._Batch._matvec = lambda batch, scaling, axis: (
+    matvec(batch, scaling, axis), stacked.append(batch.pattern is not None)
+)[0]
+batch = ot.batched_sinkhorn(
+    [clustered[:200, :200], clustered[200:, 170:], clustered[:240, 100:300]], solver
+)
+ot._Batch._matvec = matvec
+print(
+    "stacked", sum(stacked), len(stacked), digest(batch.iterations),
+    digest(batch.final_marginal_error), digest(batch.transport_cost),
+)
+
 # Pipeline level: f-otce and its gradient from raw embeddings.
 value = f_otce(FeatureSet(xs, ys, 10), FeatureSet(xt, yt, 10), MetricConfig(sinkhorn=solver)).value
 plan = sinkhorn(squared_euclidean_cost(xs, xt), mu, nu, solver).coupling.values
@@ -133,6 +149,9 @@ def test_solver_bit_stable_across_blas_thread_counts(runs):
     [(held, count, _, _)] = single["sparse"]
     assert int(held) == int(count) >= 2  # every rebuild held the pattern
     assert single["sparse"] == double["sparse"]
+    [(held, count, *_)] = single["stacked"]
+    assert int(held) == int(count) >= 2  # every stacked matvec ran sparse
+    assert single["stacked"] == double["stacked"]
 
 
 @pytest.mark.xfail(

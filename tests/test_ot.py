@@ -303,14 +303,6 @@ class TestSparseKernel:
         assert kernel_forms[0] == "sparse" and kernel_forms[-1] == "dense"
         self.assert_agree(dense, switching)
 
-    def test_batched_problems_stay_dense(self, kernel_forms):
-        # Each block is 1/20 nonzero, but the stacked matvecs are dense, so
-        # a class-pair rebuild holds no pattern.
-        cost = clustered_cost(3.0)
-        blocks = [cost[:200, :200], cost[200:, 200:]]
-        ot.batched_sinkhorn(blocks, SinkhornConfig(lam=0.1, max_iterations=20))
-        assert kernel_forms and set(kernel_forms) == {"dense"}
-
     def test_column_products_bit_identical(self):
         # Each column sum adds the same products in the same row order.
         cost = clustered_cost(3.0)
@@ -323,6 +315,79 @@ class TestSparseKernel:
         assert rule._matvec(rule.u, 1).tobytes() == dense.tobytes()
         rows = rule._matvec(rule.v, 0)
         assert np.abs(rows - np.einsum(rule._KV, rule.work, rule.v)).max() <= 1e-15 * rows.max()
+
+
+def solo(cost, config):
+    m, n = cost.shape
+    return sinkhorn(cost, uniform_marginal(m), uniform_marginal(n), config)
+
+
+class TestSparseBatch:
+    # A batch whose problems all hold their patterns steps its padded
+    # stack by one bincount over the stacked nonzeros, each problem's in
+    # its own row-major order, so each problem's sums are those of its
+    # solo solve, term for term.
+    @staticmethod
+    def blocks(cost):
+        """Blocks of unequal shapes cutting across the clusters, one batch."""
+        blocks = [cost[:200, :200], cost[200:, 170:], cost[:240, 100:300], cost[150:, 180:]]
+        assert ot._batches([block.shape for block in blocks]) == [[0, 1, 2, 3]]
+        return blocks
+
+    @staticmethod
+    def assert_bit_identical(blocks, config):
+        batch = ot.batched_sinkhorn(blocks, config)
+        for k, block in enumerate(blocks):
+            alone = solo(block, config)
+            assert batch.iterations[k] == alone.iterations
+            assert batch.converged[k] == alone.converged
+            assert batch.final_marginal_error[k].hex() == alone.final_marginal_error.hex()
+            assert batch.transport_cost[k].hex() == alone.transport_cost.hex()
+        return batch
+
+    def test_stack_steps_sparse(self, batch_forms, kernel_forms):
+        blocks = self.blocks(clustered_cost(3.0))
+        batch = self.assert_bit_identical(blocks, SinkhornConfig(lam=0.1, max_iterations=300))
+        # Every problem runs to the cap, rebuilding its kernel many times.
+        assert batch.iterations.tolist() == [300] * 4
+        assert len(kernel_forms) >= 4 * 8 and set(kernel_forms) == {"sparse"}
+        # Each step after the log-sum-exp start runs one matvec pair.
+        assert len(batch_forms) == 2 * 299 and set(batch_forms) == {"sparse"}
+
+    def test_problems_stopping_mid_run(self, batch_forms):
+        # Two blocks of tight clusters, cut along cluster bounds, converge,
+        # each at its own iteration, while the loose ones run on. Each
+        # stop drops a problem from the stacks, moving the later ones to
+        # lower slices, and the stacked pattern is laid out again.
+        tight, loose = clustered_cost(0.3), clustered_cost(3.0)
+        blocks = [tight[:200, :200], loose[200:, 170:], tight[160:, 160:], loose[150:, 180:]]
+        batch = self.assert_bit_identical(blocks, SinkhornConfig(lam=0.1, max_iterations=300))
+        first, _, second, _ = stops = batch.iterations.tolist()
+        assert stops[1] == stops[3] == 300 and first != second and max(first, second) < 300
+        assert batch.converged.tolist() == [True, False, True, False]
+        assert set(batch_forms) == {"sparse"}
+
+    def test_dense_problem_keeps_stack_dense(self, batch_forms, kernel_forms):
+        # Uniform costs up to 50 leave about 1/4 of a kernel nonzero,
+        # above _SPARSE_SHARE, so the stack steps dense though the other
+        # problems' rebuilds hold their patterns, and sparse once that
+        # problem has converged and left. Values agree with the solo
+        # solves to rounding.
+        wide = 50.0 * np.random.default_rng(0).random((200, 220))
+        blocks = [*self.blocks(clustered_cost(3.0))[:3], wide]
+        config = SinkhornConfig(lam=0.1, max_iterations=300)
+        batch = ot.batched_sinkhorn(blocks, config)
+        stop = batch.iterations[3]
+        assert batch.converged.tolist() == [False, False, False, True] and stop < 280
+        assert batch_forms == ["dense"] * 2 * (stop - 1) + ["sparse"] * 2 * (300 - stop)
+        assert "sparse" in kernel_forms and "dense" in kernel_forms
+        reference = [solo(block, config) for block in blocks]
+        assert batch.iterations.tolist() == [result.iterations for result in reference]
+        assert batch.converged.tolist() == [result.converged for result in reference]
+        expected = np.array([result.transport_cost for result in reference])
+        np.testing.assert_allclose(batch.transport_cost, expected, rtol=1e-12, atol=0)
+        errors = np.array([result.final_marginal_error for result in reference])
+        np.testing.assert_allclose(batch.final_marginal_error, errors, rtol=1e-6, atol=0)
 
 
 def class_cost(classes=10, size=30, dim=64, separation=5.0, seed=0):
