@@ -4,10 +4,10 @@ The solver minimizes ``sum(c * pi) - lam * H(pi)`` with
 ``H(pi) = -sum(pi * log(pi))`` over couplings with prescribed marginals.
 It iterates the scaling updates ``u = mu / (K v)``, ``v = nu / (K^T u)``
 on a kernel ``K = exp(-c/lam + F + G)``. By default (``log_domain``) the
-iteration is stabilized: it starts with one log-sum-exp update pair, and
-whenever a scaling leaves ``[e^-30, e^30]`` or is not finite, that
-half-update is redone in log-sum-exp form and absorbed into the log
-potentials F and G, and the kernel is rebuilt (Schmitzer 2019,
+iteration is stabilized: it starts with one log-sum-exp update pair,
+and whenever a scaling leaves ``[e^-_ABSORB, e^_ABSORB]`` or is not
+finite, that half-update is redone in log-sum-exp form and absorbed into
+the log potentials F and G, and the kernel is rebuilt (Schmitzer 2019,
 "Stabilized sparse scaling algorithms for entropy regularized
 transport"). Plain scaling (``log_domain=False``) never absorbs, keeps
 F = G = 0, and raises :class:`NumericalOverflow` when ``exp(-c/lam)``
@@ -66,18 +66,16 @@ __all__ = [
 # numpy's exp off its scalar fallback path for subnormal results.
 _EXP_CLAMP = -700.0
 
-# A kernel rebuild with more than this share of its entries above the
-# floor runs exp densely and masks after. At 100x100 the dense form took
-# half the time of the masked one at a 20% share and broke even near 7%;
-# at 1000x1000 with 2% above it took ~1.2x as long.
-_DENSE_SHARE = 0.07
-
-# A rebuilt kernel with at most this share of nonzeros runs its matvecs
-# over the nonzeros alone. A sparse matvec pair broke even with the dense
-# one near 9% at 1000x1000 and near 7-8% at 200x200 to 700x700. A _Batch
-# stack steps sparse while each of its problems is at or below it; on
-# jc-otce's 100 class pairs (a 100x100x107 stack, 2.9% nonzero) a stacked
-# bincount pair took 210-290 us against 1040-1160 us for the einsums.
+# A kernel rebuild that leaves at most this share of its entries above
+# the floor computes those alone and holds them as its pattern, and its
+# matvecs run over the pattern; above it, the rebuild runs exp densely
+# and masks after, and the matvecs are dense. A sparse matvec pair broke
+# even with the dense one near 9% at 1000x1000 and near 7-8% at 200x200
+# to 700x700; the sparse rebuild alone breaks even near 5% at 100x100 and
+# 1000x1000, but many matvec pairs follow each rebuild. A _Batch stack
+# steps sparse while each of its problems is at or below it; on jc-otce's
+# 100 class pairs (a 100x100x107 stack, 2.9% nonzero) a stacked bincount
+# pair took 210-290 us against 1040-1160 us for the einsums.
 _SPARSE_SHARE = 0.07
 
 # A _Batch lays its problems' patterns out in one stacked pattern, each
@@ -202,7 +200,7 @@ def _check_marginals(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> None:
 
 # Scalings outside [e^-_ABSORB, e^_ABSORB] are absorbed into the log
 # potentials before the kernel products they scale lose precision.
-_ABSORB = 30.0
+_ABSORB = 60.0
 _SCALING_LO = float(np.exp(-_ABSORB))
 _SCALING_HI = float(np.exp(_ABSORB))
 
@@ -222,8 +220,8 @@ def _floor(log_mu: np.ndarray, log_nu: np.ndarray) -> float:
 
 
 def _in_range(scaling: np.ndarray, axis=None):
-    """Whether the scalings lie in [e^-30, e^30]: all of them, or those
-    of each problem along ``axis``."""
+    """Whether the scalings lie in [e^-_ABSORB, e^_ABSORB]: all of them,
+    or those of each problem along ``axis``."""
     # NaN fails both comparisons. A whole-array test that fails the lower
     # bound is decided without the second reduction.
     inside = _SCALING_LO <= scaling.min(axis=axis)
@@ -239,10 +237,10 @@ class _Rule:
     F and G are absorbed log potentials; the effective potentials are
     f = F + log u and g = G + log v. With ``absorb`` (log-domain mode) the
     first iteration is a log-sum-exp pair, after which K is built. A
-    fresh scaling that is not finite or leaves [e^-30, e^30] is dropped:
-    its half-update is redone in log-sum-exp form from the effective
-    potentials (with ``work`` as its workspace), folded into F and G, u and v
-    reset to 1 and K rebuilt, exactly zero below a floor (see
+    fresh scaling that is not finite or leaves [e^-_ABSORB, e^_ABSORB]
+    is dropped: its half-update is redone in log-sum-exp form from the
+    effective potentials (with ``work`` as its workspace), folded into F
+    and G, u and v reset to 1 and K rebuilt, exactly zero below a floor (see
     :func:`_floor`). Every half-update is thus the exact Sinkhorn step,
     to the bit in practice. Without ``absorb`` (plain scaling) F = G = 0, the
     kernel is unclamped, so honest underflow to zero shows up in the
@@ -390,38 +388,35 @@ class _Rule:
         self.u = np.ones_like(f)
         self.v = np.ones_like(g)
         self.absorptions += 1
-        above, count = self._build(f, g, self.work)
-        self.pattern = None
-        if count <= _SPARSE_SHARE * above.size:
-            # The entries above the floor are exactly K's nonzeros.
-            index = np.flatnonzero(above)
-            rows, cols = np.divmod(index, above.shape[1])
-            self.pattern = rows, cols, self.work.take(index)
+        self.pattern = self._build(f, g, self.work)
 
     def _build(self, f: np.ndarray, g: np.ndarray, out: np.ndarray):
         """K = exp(-cost/lam + f + g) into ``out``, zero below the rule's
         floor (:func:`_floor`).
 
-        Returns the mask of the entries above the floor and their count.
+        Returns K's pattern if at most _SPARSE_SHARE of it is nonzero,
+        else None.
         """
         np.add(self.kernel, f[:, None], out=out)
         out += g[None, :]
         # Zeros below the floor, not exp(floor): exact zeros are what the
         # sparse matvecs skip, and an entry near exp(-700) times a small
         # scaling would be subnormal, which is slow. Both forms give the
-        # same bits; the where=-masked exp costs per run of the mask, so
-        # it is the faster one only while few entries lie above.
+        # same bits; the sparse one runs exp over the kept entries alone.
         floor = _floor(self.log_mu, self.log_nu)
         above = out > floor
-        count = np.count_nonzero(above)
-        if count > _DENSE_SHARE * out.size:
+        if np.count_nonzero(above) > _SPARSE_SHARE * out.size:
             np.maximum(out, floor, out=out)
             np.exp(out, out=out)
             out *= above
-        else:
-            np.exp(out, out=out, where=above)
-            np.maximum(out, 0.0, out=out)
-        return above, count
+            return None
+        index = np.flatnonzero(above)
+        data = out.take(index)
+        np.exp(data, out=data)
+        out.fill(0.0)
+        out.put(index, data)
+        rows, cols = np.divmod(index, out.shape[1])
+        return rows, cols, data
 
     # -- log-sum-exp form: the start and absorptions ----------------------
 
@@ -528,8 +523,8 @@ class _Batch(_Rule):
         """Run ``half``, a log-sum-exp half-step that absorbs, on problem k.
 
         It works in contiguous scratch rather than in the strided view of
-        the stack, where the kernel rebuild's masked exp takes about twice
-        as long, and the rebuilt kernel is then copied into the stack. Its
+        the stack, where the kernel rebuild takes about 1.5 times as long,
+        and the rebuilt kernel is then copied into the stack. Its
         pattern, if the rebuild left one, is kept for the stacked matvecs.
         """
         rule = self.problem(k)

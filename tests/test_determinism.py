@@ -71,8 +71,9 @@ blocks = [
 batch = ot.batched_sinkhorn(blocks, SinkhornConfig(max_iterations=200))
 print("batch", batch.iterations.tolist(), digest(batch.transport_cost))
 
-# A default solve on clusters 30 apart, whose kernel is 1/40 nonzero
-# after each rebuild, so its matvecs run as bincounts over the nonzeros.
+# A solve on clusters 30 apart, whose kernel is 1/40 nonzero after each
+# rebuild, so its matvecs run as bincounts over the nonzeros; over 200
+# iterations it absorbs after the start.
 held = np.random.default_rng(12)
 centers = np.zeros((40, 4))
 centers[:, 0] = 30.0 * np.arange(40)
@@ -85,7 +86,9 @@ clustered = (
 )
 sparse = []
 ot._Rule._absorb = lambda rule, f, g: absorb(rule, f, g) or sparse.append(rule.pattern is not None)
-result = sinkhorn(clustered, uniform_marginal(400), uniform_marginal(400), solver)
+result = sinkhorn(
+    clustered, uniform_marginal(400), uniform_marginal(400), SinkhornConfig(max_iterations=200)
+)
 ot._Rule._absorb = absorb
 print("sparse", sum(sparse), len(sparse), result.iterations, digest(result.coupling.values))
 

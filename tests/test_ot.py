@@ -162,10 +162,11 @@ class TestSinkhorn:
     ])
     def test_default_matches_log_sum_exp_across_absorptions(self, absorptions, kind, seed):
         # at lam = 1e-3 the potentials move by far more than the absorption
-        # threshold within 300 iterations
+        # range within 300 iterations; uniform costs up to _ABSORB / 10
+        # keep them doing so at any range
         rng = np.random.default_rng(seed)
         if kind == "uniform":
-            cost = rng.uniform(size=(6, 6))
+            cost = (ot._ABSORB / 10.0) * rng.uniform(size=(6, 6))
         else:
             cost = squared_euclidean_cost(rng.normal(size=(8, 2)), rng.normal(size=(7, 2)))
         m, n = cost.shape
@@ -224,9 +225,10 @@ class TestSinkhorn:
 
 
 class TestKernelRebuild:
-    # An absorption rebuilds the kernel by a dense exp masked afterwards
-    # or by a where=-masked exp, chosen by the share of entries above the
-    # floor; both must give the same bytes.
+    # An absorption rebuilds the kernel by a dense exp masked afterwards,
+    # or by an exp over the entries above the floor alone, which are then
+    # its pattern, chosen by the share of entries above the floor; both
+    # must give the same bytes.
     @pytest.mark.parametrize(
         "shape, lam, dense",
         [((100, 98), 0.03, True), ((1000, 1000), 0.0025, False)],
@@ -240,14 +242,20 @@ class TestKernelRebuild:
         rule.step()  # the log-sum-exp start absorbs F and G and builds the kernel
         floor = ot._floor(rule.log_mu, rule.log_nu)
         above = rule.kernel + rule.F[:, None] + rule.G[None, :] > floor
-        assert (above.mean() > ot._DENSE_SHARE) == dense
-        built = []
-        for share in (0.0, 1.0):  # forces the dense form, then the masked one
-            monkeypatch.setattr(ot, "_DENSE_SHARE", share)
+        assert (above.mean() > ot._SPARSE_SHARE) == dense
+        built, patterns = [], []
+        for share in (0.0, 1.0):  # forces the dense form, then the sparse one
+            monkeypatch.setattr(ot, "_SPARSE_SHARE", share)
             out = np.empty_like(rule.work)
-            rule._build(rule.F, rule.G, out)
-            built.append(out.tobytes())
-        assert built == [rule.work.tobytes()] * 2
+            patterns.append(rule._build(rule.F, rule.G, out))
+            built.append(out)
+        assert [out.tobytes() for out in built] == [rule.work.tobytes()] * 2
+        # The sparse form's pattern is the dense kernel's nonzeros, row-major.
+        assert patterns[0] is None
+        rows, cols, data = patterns[1]
+        index = np.flatnonzero(built[0])
+        assert np.array_equal(rows * n + cols, index)
+        assert data.tobytes() == built[0].take(index).tobytes()
 
 
 def clustered_cost(noise):
@@ -293,13 +301,24 @@ class TestSparseKernel:
         self.assert_agree(*results)
 
     def test_switching_forms_agree(self, monkeypatch, kernel_forms):
-        # The kernel's nonzeros grow from 1043 to 1187 of 160 000 over the
-        # rebuilds, so this share holds the pattern for the first ones
-        # only, and a later rebuild must drop it.
+        # The kernel's nonzeros grow over the rebuilds (1317 to 1453 of
+        # 160 000 at _ABSORB = 60), so a share between the first and the
+        # last count holds the pattern for the first ones only, and a
+        # later rebuild must drop it.
         cost = clustered_cost(3.0)
+        nonzeros = []
+        build = ot._Rule._build
+
+        def counted(rule, f, g, out):
+            pattern = build(rule, f, g, out)
+            nonzeros.append(np.count_nonzero(out))
+            return pattern
+
+        monkeypatch.setattr(ot._Rule, "_build", counted)
         dense = self.solve(monkeypatch, cost, 0.0)
+        assert nonzeros[0] < nonzeros[-1]
         kernel_forms.clear()
-        switching = self.solve(monkeypatch, cost, 1100 / 160_000)
+        switching = self.solve(monkeypatch, cost, (nonzeros[0] + nonzeros[-1]) / 2 / cost.size)
         assert kernel_forms[0] == "sparse" and kernel_forms[-1] == "dense"
         self.assert_agree(dense, switching)
 
@@ -408,16 +427,28 @@ class TestKernelFloor:
     # A rebuilt kernel is exactly zero below the rule's floor, whose
     # dropped entries move no kept matvec by more than 2^-53 e^-20.
     def test_floor_values(self):
+        # ln tau = -(2 _ABSORB + 53 ln 2 + 20 + ln n - ln min mu) at _ABSORB = 60.
         uniform = np.log(uniform_marginal(1000))
-        assert ot._floor(uniform, uniform) == pytest.approx(-130.55, abs=0.01)
+        assert ot._floor(uniform, uniform) == pytest.approx(-190.55, abs=0.01)
         small = np.log(uniform_marginal(100))
-        assert ot._floor(small, small) == pytest.approx(-125.95, abs=0.01)
+        assert ot._floor(small, small) == pytest.approx(-185.95, abs=0.01)
         # A tiny marginal entry would put the floor below the clamp.
         tiny = np.log(np.array([1e-300, 1.0]))
         assert ot._floor(tiny, np.log(uniform_marginal(3))) == ot._EXP_CLAMP
 
+    def test_range_limits(self):
+        # The keep range is [e^-_ABSORB, e^_ABSORB]. Two things bound it: a
+        # kept product tau e^-_ABSORB must be a normal double, and the
+        # floor must lie above the clamp, here at 1000 x 1000 uniform.
+        assert ot._SCALING_LO == np.exp(-ot._ABSORB)
+        assert ot._SCALING_HI == np.exp(ot._ABSORB)
+        uniform = np.log(uniform_marginal(1000))
+        floor = ot._floor(uniform, uniform)
+        assert np.exp(floor - ot._ABSORB) > np.finfo(float).tiny
+        assert floor > ot._EXP_CLAMP
+
     def test_plain_scaling_kernel_is_not_truncated(self):
-        # exp(-200) lies below a 3 x 3 floor (about e^-119) and exp(-720)
+        # exp(-200) lies below a 3 x 3 floor (about e^-179) and exp(-720)
         # below the clamp; plain scaling keeps both, and its plan carries them.
         cost = np.array([[0.0, 20.0, 72.0], [20.0, 0.0, 72.0], [72.0, 72.0, 0.0]])
         mu = uniform_marginal(3)
