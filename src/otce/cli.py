@@ -32,7 +32,7 @@ from .errors import (
     NonNumericField,
     NumericalError,
 )
-from .fileio import read_csv, read_feature_file, write_feature_file
+from .fileio import _is_float, read_csv, read_feature_file, write_feature_file
 from .gradient import (
     GradConfig,
     nearest_centroid_probe,
@@ -274,7 +274,7 @@ def _read_pairs_csv(path: Path) -> list[ScoredPair]:
                     f"{path}: row {idx} has {len(row)} fields, expected "
                     "task_id, score, accuracy"
                 )
-            if idx == 0 and not _parses_as_float(row[1]):
+            if idx == 0 and not _is_float(row[1]):
                 continue  # header line
             try:
                 score = float(row[1])
@@ -287,14 +287,6 @@ def _read_pairs_csv(path: Path) -> list[ScoredPair]:
             except ValueError as exc:
                 raise NonNumericField(f"{path}: row {idx}: {exc}") from exc
     return out
-
-
-def _parses_as_float(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
 
 
 @main.command("optimize")

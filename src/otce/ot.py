@@ -246,11 +246,11 @@ class _Rule:
     kernel is unclamped, so honest underflow to zero shows up in the
     finite check of each half-update, which raises NumericalOverflow.
 
-    ``work`` is K's dense store, which the plan, the log-sum-exp form and
-    the reverse read. The matvecs are einsum loops over it, or, while an
-    absorption has left K sparse, ``np.bincount`` sums over K's nonzeros
-    (``pattern``: their flat rows, columns and values, in row-major
-    order; a _Batch holds one for its whole stack). Both are sequential,
+    ``work`` is K's dense store, for the log-sum-exp form and the reverse.
+    The matvecs (einsums) and the plan read it too, or, while an absorption
+    has left K sparse, K's nonzeros (``pattern``: flat rows, columns and
+    values, row-major; a _Batch holds one for its stack), as ``np.bincount``
+    sums and as the dense form's products. Both matvecs are sequential,
     not BLAS calls, so their bits do not depend on the BLAS thread count.
     The sparse column product adds the same terms in the same order as
     the einsum, so it is bit-identical; the sparse row product differs
@@ -310,8 +310,8 @@ class _Rule:
         rows, cols, data = self.pattern
         into, read = (cols, rows) if axis else (rows, cols)
         # The pattern indexes the flattened stacks, so one bincount serves
-        # a 2-D kernel and a _Batch stack alike.
-        shape = scaling.shape[:-1] + (self.work.shape[axis - 2],)
+        # a 2-D kernel and a _Batch (with or without its dense stack) alike.
+        shape = (self.v if axis else self.u).shape
         weights = data * scaling.reshape(-1)[read]
         return np.bincount(into, weights=weights, minlength=math.prod(shape)).reshape(shape)
 
@@ -365,8 +365,13 @@ class _Rule:
         return self
 
     def plan(self) -> np.ndarray:
-        plan = self.work * self.u[:, None]
-        plan *= self.v[None, :]
+        if self.pattern is None:
+            plan = self.work * self.u[:, None]
+            plan *= self.v[None, :]
+            return plan
+        rows, cols, data = self.pattern
+        plan = np.zeros((self.u.size, self.v.size))
+        plan[rows, cols] = data * self.u[rows] * self.v[cols]
         return plan
 
     def _keep(self, scaling: np.ndarray) -> bool:
@@ -466,7 +471,7 @@ class _Batch(_Rule):
     which holds each problem's nonzeros in its own row-major order, so
     each problem's sums add the same terms in the same order as
     :func:`sinkhorn` on its cost alone; otherwise they are einsums over
-    the dense stack.
+    the dense stack ``work``, which is held only then, or in scaling mode.
     """
 
     _KV = "bij,bj->bi"
@@ -493,10 +498,11 @@ class _Batch(_Rule):
         # are -inf in the padding, which no stacked step reads.
         with np.errstate(divide="ignore"):
             super().__init__(
-                None, np.zeros((count, rows, cols)), mu, nu, np.log(mu), np.log(nu), lam, absorb,
+                None, None, mu, nu, np.log(mu), np.log(nu), lam, absorb,
                 np.zeros_like(mu), np.zeros_like(nu), np.ones_like(mu), np.ones_like(nu),
             )
         if not absorb:
+            self.work = np.zeros((count, rows, cols))
             for k, (m, n) in enumerate(self.shapes):
                 np.exp(self.kernels[k], out=self.work[k, :m, :n])
         self.scratch = np.empty(rows * cols)
@@ -507,40 +513,49 @@ class _Batch(_Rule):
         self.parts = [None] * count
 
     def problem(self, k: int) -> _Rule:
-        """Problem k as a 2-D _Rule on its own kernel and views into the stacks.
+        """Problem k as a 2-D _Rule on its kernel, its pattern and views into the stacks.
 
         The views share memory with the stacks except where a method
         assigns a new array (an absorption); :meth:`_redo` copies those back.
         """
         m, n = self.shapes[k]
-        return _Rule(
-            self.kernels[k], self.work[k, :m, :n], self.mu[k, :m], self.nu[k, :n],
-            self.log_mu[k, :m], self.log_nu[k, :n], self.lam, self.absorb,
-            self.F[k, :m], self.G[k, :n], self.u[k, :m], self.v[k, :n],
+        rule = _Rule(
+            self.kernels[k], None if self.work is None else self.work[k, :m, :n],
+            self.mu[k, :m], self.nu[k, :n], self.log_mu[k, :m], self.log_nu[k, :n],
+            self.lam, self.absorb, self.F[k, :m], self.G[k, :n], self.u[k, :m], self.v[k, :n],
         )
+        rule.pattern = self.parts[k]
+        return rule
 
     def _redo(self, k: int, half) -> None:
         """Run ``half``, a log-sum-exp half-step that absorbs, on problem k.
 
         It works in contiguous scratch rather than in the strided view of
-        the stack, where the kernel rebuild takes about 1.5 times as long,
-        and the rebuilt kernel is then copied into the stack. Its
-        pattern, if the rebuild left one, is kept for the stacked matvecs.
+        the stack, where the kernel rebuild takes about 1.5 times as long.
+        Its pattern, if any, is kept for the stacked matvecs, and its kernel
+        copied into the dense stack, which a dense one builds if none is held.
         """
         rule = self.problem(k)
         m, n = self.shapes[k]
-        stacked, rule.work = rule.work, self.scratch[: m * n].reshape(m, n)
+        rule.work = self.scratch[: m * n].reshape(m, n)
         half(rule)
-        stacked[...] = rule.work
         self.F[k, :m], self.u[k, :m] = rule.F, rule.u
         self.G[k, :n], self.v[k, :n] = rule.G, rule.v
         self.parts[k] = rule.pattern
+        if self.work is None and rule.pattern is None:
+            self.work = np.zeros(self.u.shape + self.v.shape[1:])
+            for j, part in enumerate(self.parts):
+                if part is not None:
+                    self.work[j][part[:2]] = part[2]
+        if self.work is not None:
+            self.work[k, :m, :n] = rule.work
         if self.pattern is not None:
             self._place(k)
 
     def _layout(self) -> None:
         """The stacked pattern: a slot per problem, 1/_ROOM longer than its
-        pattern, at the problem's offset in the flattened stacks."""
+        pattern, at its offset in the flattened stacks; the dense stack goes."""
+        self.work = None
         sizes = np.array([data.size for _, _, data in self.parts])
         slots = sizes + sizes // _ROOM
         stops = np.cumsum(slots)
@@ -624,7 +639,8 @@ class _Batch(_Rule):
         """Drop the problems not marked alive from the stacks."""
         for name in ("work", "pad_rows", "pad_cols", "mu", "log_mu", "F", "u",
                      "nu", "log_nu", "G", "v"):
-            setattr(self, name, getattr(self, name)[alive])
+            stack = getattr(self, name)
+            setattr(self, name, stack if stack is None else stack[alive])
         self.kernels = [kernel for kernel, keep in zip(self.kernels, alive) if keep]
         self.shapes = [kernel.shape for kernel in self.kernels]
         self.parts = [part for part, keep in zip(self.parts, alive) if keep]

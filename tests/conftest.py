@@ -59,6 +59,22 @@ def batch_forms(monkeypatch):
     return forms
 
 
+@pytest.fixture
+def stackless(monkeypatch):
+    """Records, after each stacked matvec of a batched solve, whether the
+    batch held no dense stack (``work is None``)."""
+    held = []
+    matvec = ot._Batch._matvec
+
+    def recording(batch, scaling, axis):
+        product = matvec(batch, scaling, axis)
+        held.append(batch.work is None)
+        return product
+
+    monkeypatch.setattr(ot._Batch, "_matvec", recording)
+    return held
+
+
 def make_set(features, labels, classes=None, name="t"):
     labels = np.asarray(labels, dtype=np.int64)
     if classes is None:

@@ -285,7 +285,8 @@ class TestLabelDistanceMatrix:
 
         def recording(batch, costs, lam, absorb):
             init(batch, costs, lam, absorb)
-            stacked.append(batch.work.size)
+            # The padded volume: a log-domain batch holds no dense stack here.
+            stacked.append(batch.u.size * batch.v.shape[1])
 
         monkeypatch.setattr(ot._Batch, "__init__", recording)
         config = SinkhornConfig(max_iterations=50)

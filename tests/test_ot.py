@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -334,6 +335,13 @@ class TestSparseKernel:
         assert rule._matvec(rule.u, 1).tobytes() == dense.tobytes()
         rows = rule._matvec(rule.v, 0)
         assert np.abs(rows - np.einsum(rule._KV, rule.work, rule.v)).max() <= 1e-15 * rows.max()
+        # The plan scatters the dense form's products from the pattern.
+        cost = class_cost()
+        rule = ot._Rule.on(cost, uniform_marginal(300), uniform_marginal(300), 0.1, absorb=True)
+        for _ in range(50):
+            rule.step()
+        dense = rule.work * rule.u[:, None] * rule.v[None, :]
+        assert rule.pattern is not None and rule.plan().tobytes() == dense.tobytes()
 
 
 def solo(cost, config):
@@ -364,16 +372,18 @@ class TestSparseBatch:
             assert batch.transport_cost[k].hex() == alone.transport_cost.hex()
         return batch
 
-    def test_stack_steps_sparse(self, batch_forms, kernel_forms):
+    def test_stack_steps_sparse(self, batch_forms, kernel_forms, stackless):
         blocks = self.blocks(clustered_cost(3.0))
         batch = self.assert_bit_identical(blocks, SinkhornConfig(lam=0.1, max_iterations=300))
         # Every problem runs to the cap, rebuilding its kernel many times.
         assert batch.iterations.tolist() == [300] * 4
         assert len(kernel_forms) >= 4 * 8 and set(kernel_forms) == {"sparse"}
-        # Each step after the log-sum-exp start runs one matvec pair.
+        # Each step after the log-sum-exp start runs one matvec pair, and
+        # no dense stack is held while the stack steps sparse.
         assert len(batch_forms) == 2 * 299 and set(batch_forms) == {"sparse"}
+        assert stackless == [True] * 2 * 299
 
-    def test_problems_stopping_mid_run(self, batch_forms):
+    def test_problems_stopping_mid_run(self, batch_forms, stackless):
         # Two blocks of tight clusters, cut along cluster bounds, converge,
         # each at its own iteration, while the loose ones run on. Each
         # stop drops a problem from the stacks, moving the later ones to
@@ -384,7 +394,41 @@ class TestSparseBatch:
         first, _, second, _ = stops = batch.iterations.tolist()
         assert stops[1] == stops[3] == 300 and first != second and max(first, second) < 300
         assert batch.converged.tolist() == [True, False, True, False]
-        assert set(batch_forms) == {"sparse"}
+        assert set(batch_forms) == {"sparse"} and all(stackless)
+
+    def test_dense_rebuild_mid_run(self, monkeypatch, batch_forms, stackless):
+        # One problem's second rebuild, after the stack has stepped sparse,
+        # reports its kernel dense. The batch builds its dense stack from
+        # the other problems' patterns and steps it dense until that
+        # problem's next rebuild, then lays out its pattern again and
+        # drops the stack. Values agree with the unforced run to rounding.
+        blocks = self.blocks(clustered_cost(3.0))
+        config = SinkhornConfig(lam=0.1, max_iterations=300)
+        unforced = ot.batched_sinkhorn(blocks, config)
+        build, rebuilds = ot._Rule._build, []
+
+        def forced(rule, f, g, out):
+            pattern = build(rule, f, g, out)
+            if out.shape == blocks[2].shape:
+                rebuilds.append(pattern)
+                if len(rebuilds) == 2:
+                    return None
+            return pattern
+
+        monkeypatch.setattr(ot._Rule, "_build", forced)
+        batch_forms.clear()
+        stackless.clear()
+        batch = ot.batched_sinkhorn(blocks, config)
+        assert len(rebuilds) > 2 and all(pattern is not None for pattern in rebuilds)
+        start = batch_forms.index("dense")
+        dense = batch_forms.count("dense")
+        tail = len(batch_forms) - start - dense
+        assert start > 0 and tail > 0
+        assert batch_forms == ["sparse"] * start + ["dense"] * dense + ["sparse"] * tail
+        assert stackless == [form == "sparse" for form in batch_forms]
+        assert batch.iterations.tolist() == unforced.iterations.tolist()
+        expected = unforced.transport_cost
+        np.testing.assert_allclose(batch.transport_cost, expected, rtol=1e-12, atol=0)
 
     def test_dense_problem_keeps_stack_dense(self, batch_forms, kernel_forms):
         # Uniform costs up to 50 leave about 1/4 of a kernel nonzero,
@@ -407,6 +451,24 @@ class TestSparseBatch:
         np.testing.assert_allclose(batch.transport_cost, expected, rtol=1e-12, atol=0)
         errors = np.array([result.final_marginal_error for result in reference])
         np.testing.assert_allclose(batch.final_marginal_error, errors, rtol=1e-6, atol=0)
+
+    def test_traced_peak_bounded(self):
+        # While the stack steps sparse, a batched solve holds no dense
+        # padded stack: its traced peak stays within 8 bytes for each of
+        # the blocks' E entries (their -cost/lam), the S entries of one
+        # padded stack (plans, patterns and the small stacks) and the
+        # R x C scratch.
+        blocks = self.blocks(clustered_cost(3.0))
+        rows, cols = (max(extent) for extent in zip(*(block.shape for block in blocks)))
+        entries = sum(block.size for block in blocks)
+        bound = 8 * (entries + len(blocks) * rows * cols + rows * cols)
+        tracemalloc.start()
+        try:
+            ot.batched_sinkhorn(blocks, SinkhornConfig(lam=0.1, max_iterations=300))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 def class_cost(classes=10, size=30, dim=64, separation=5.0, seed=0):
