@@ -35,7 +35,7 @@ from .errors import (
     NumericalOverflow,
 )
 from .metrics import _aggregate_joint, _class_counts, _entropy_and_adjoint
-from .ot import SinkhornConfig, squared_euclidean_cost, unrolled_sinkhorn
+from .ot import SinkhornConfig, _check_integer, squared_euclidean_cost, unrolled_sinkhorn
 
 __all__ = [
     "GradConfig",
@@ -72,14 +72,13 @@ class GradConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.unroll_iterations < 1:
-            raise ValueError(f"unroll_iterations must be >= 1, got {self.unroll_iterations!r}")
+        _check_integer("unroll_iterations", self.unroll_iterations, 1)
         if not 0 <= self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate!r}")
-        if self.steps < 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps!r}")
-        if self.source_batch < 1 or self.target_batch < 1:
-            raise ValueError("batch sizes must be >= 1")
+        _check_integer("steps", self.steps, 0)
+        _check_integer("source_batch", self.source_batch, 1)
+        _check_integer("target_batch", self.target_batch, 1)
+        _check_integer("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

@@ -37,11 +37,21 @@ an einsum, ufunc or sequential ``np.bincount`` loop and every reduction
 runs in a fixed sequential order, so for a given cost the results are
 bit-stable across runs and thread counts. The BLAS product in
 :func:`squared_euclidean_cost` is not.
+
+A step's matvec may be zero or huge, so its scaling may divide by zero
+or overflow; the range test catches that. The caller of ``_Rule.step``
+therefore holds the floating-point error state that ignores those
+warnings, once for a whole run of steps: on small problems, entering
+``np.errstate`` once per step cost about a tenth of the step. It never
+spans a ``yield`` of :func:`_stops`: numpy keeps an error state entered
+in a suspended generator in force in its caller, where it would hide
+the warnings of the caller's own arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import permutations
 from typing import NamedTuple
@@ -108,13 +118,22 @@ class SinkhornConfig:
         # Infinite lam gives the independent coupling, scored as converged.
         if not 0 < self.lam < np.inf:
             raise ValueError(f"lam must be finite and > 0, got {self.lam!r}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
+        _check_integer("max_iterations", self.max_iterations, 1)
         # An infinite tolerance would stop the first step, flagged converged.
         if not 0 < self.marginal_tolerance < np.inf:
             raise ValueError(
                 f"marginal_tolerance must be finite and > 0, got {self.marginal_tolerance!r}"
             )
+
+
+def _check_integer(name: str, value, least: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (a Python or numpy
+    int, not a bool) of at least ``least``. A float count or seed would
+    pass the bound and fail later, mid-run, as a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -221,7 +240,8 @@ def _floor(log_mu: np.ndarray, log_nu: np.ndarray) -> float:
 
 def _in_range(scaling: np.ndarray, axis=None):
     """Whether the scalings lie in [e^-_ABSORB, e^_ABSORB]: all of them,
-    or those of each problem along ``axis``."""
+    or those of each problem along ``axis``. _Rule.step tests a 1-D
+    scaling inline."""
     # NaN fails both comparisons. A whole-array test that fails the lower
     # bound is decided without the second reduction.
     inside = _SCALING_LO <= scaling.min(axis=axis)
@@ -246,11 +266,12 @@ class _Rule:
     kernel is unclamped, so honest underflow to zero shows up in the
     finite check of each half-update, which raises NumericalOverflow.
 
-    ``work`` is K's dense store, for the log-sum-exp form and the reverse.
-    The matvecs (einsums) and the plan read it too, or, while an absorption
-    has left K sparse, K's nonzeros (``pattern``: flat rows, columns and
+    ``work`` is K's dense store and the log-sum-exp form's workspace. The
+    matvecs (einsums) and the plan read it, or, while an absorption has
+    left K sparse, K's nonzeros alone (``pattern``: flat rows, columns and
     values, row-major; a _Batch holds one for its stack), as ``np.bincount``
-    sums and as the dense form's products. Both matvecs are sequential,
+    sums and as the dense form's products; ``work`` is then scratch, which
+    the reverse fills from the pattern. Both matvecs are sequential,
     not BLAS calls, so their bits do not depend on the BLAS thread count.
     The sparse column product adds the same terms in the same order as
     the einsum, so it is bit-identical; the sparse row product differs
@@ -293,14 +314,30 @@ class _Rule:
     _KTU = "ij,i->j"
 
     def step(self) -> None:
-        """One row and one column half-update."""
+        """One row and one column half-update, in the error state that the
+        caller holds (see the module docstring).
+
+        ``before`` is left holding the state after the row half:
+        (absorptions, F, G, u, v).
+        """
         if self.absorb and not self.absorptions:
             self._start()
             return
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            self._take_u(self.mu / self._matvec(self.v, 0))
-            self.before = (self.G, self.v)
-            self._take_v(self.nu / self._matvec(self.u, 1))
+        # A fresh 1-D scaling in range is kept here. x[x.argmin()] is the
+        # minimum, or the first NaN, which fails both comparisons; on small
+        # scalings it costs a third of a ufunc reduction. The rest go to
+        # _take_u and _take_v, where a _Batch tests its stacks per problem.
+        u = self.mu / self._matvec(self.v, 0)
+        if u.ndim == 1 and _SCALING_LO <= u[u.argmin()] and u[u.argmax()] <= _SCALING_HI:
+            self.u = u
+        else:
+            self._take_u(u)
+        self.before = (self.absorptions, self.F, self.G, self.u, self.v)
+        v = self.nu / self._matvec(self.u, 1)
+        if v.ndim == 1 and _SCALING_LO <= v[v.argmin()] and v[v.argmax()] <= _SCALING_HI:
+            self.v = v
+        else:
+            self._take_v(v)
 
     def _matvec(self, scaling: np.ndarray, axis: int) -> np.ndarray:
         """K v (axis 0) or K^T u (axis 1): an einsum over the dense K, or
@@ -316,22 +353,27 @@ class _Rule:
         return np.bincount(into, weights=weights, minlength=math.prod(shape)).reshape(shape)
 
     def _start(self) -> None:
-        # Nothing is absorbed yet, so G is the starting g = 0.
-        self.before = (self.G, self.v)
-        f = self.row(self.G)
+        # Nothing is absorbed yet, so G and v are the starting g = 0 and v = 1.
+        G, v = self.G, self.v
+        f = self.row(G)
         self._absorb(f, self.col(f))
+        # The row half's state: F = f over g = 0, on the kernel of no
+        # absorption (epoch 0).
+        self.before = (0, self.F, G, self.u, v)
 
     def _take_u(self, u: np.ndarray) -> None:
-        if self._keep(u):
-            self.u = u
-        else:
+        """Take a fresh u outside the range (see :meth:`_redoes`)."""
+        if self._redoes(u):
             self._redo_row()
+        else:
+            self.u = u
 
     def _take_v(self, v: np.ndarray) -> None:
-        if self._keep(v):
-            self.v = v
-        else:
+        """Take a fresh v outside the range (see :meth:`_redoes`)."""
+        if self._redoes(v):
             self._redo_col()
+        else:
+            self.v = v
 
     def _redo_row(self) -> None:
         """The row half-update in log-sum-exp form, absorbed."""
@@ -343,22 +385,24 @@ class _Rule:
         f = self.F + np.log(self.u)
         self._absorb(f, self.col(f))
 
-    def estimate(self):
-        """Cheap column violation of the plan before the last column update.
+    def estimate(self, G: np.ndarray, v: np.ndarray):
+        """Cheap column violation of the plan before the last column update,
+        whose G and v are given.
 
         That plan has colsum_j = nu_j * v_j / v_next_j, or in log form
         nu_j * exp(g_j - g_next_j), so its violation is free. The maximum
         is taken over the last axis: one value per problem.
         """
-        G, v = self.before
+        # np.maximum.reduce, not ndarray.max, which wraps it in Python.
         if G is self.G:
-            return np.abs(self.nu * (v / self.v - 1.0)).max(axis=-1)
-        return np.abs(self.nu * np.expm1(G + np.log(v) - self.G)).max(axis=-1)
+            return np.maximum.reduce(np.abs(self.nu * (v / self.v - 1.0)), -1)
+        return np.maximum.reduce(np.abs(self.nu * np.expm1(G + np.log(v) - self.G)), -1)
 
     def near(self, tol: float):
         """The problems whose cheap estimate meets ``tol``: this one or none,
         tested in Python, as the driver asks after every step."""
-        return (0,) if self.estimate() <= tol else ()
+        _, _, G, _, v = self.before
+        return (0,) if self.estimate(G, v) <= tol else ()
 
     def problem(self, k: int) -> _Rule:
         """Problem k of the rule; a one-problem rule is its own problem 0."""
@@ -374,17 +418,18 @@ class _Rule:
         plan[rows, cols] = data * self.u[rows] * self.v[cols]
         return plan
 
-    def _keep(self, scaling: np.ndarray) -> bool:
-        if _in_range(scaling):
-            return True
+    def _redoes(self, scaling: np.ndarray) -> bool:
+        """Whether a fresh scaling outside the range has its half-update
+        redone: always in log-domain mode. Plain scaling keeps it if it is
+        finite and raises NumericalOverflow if not."""
         if self.absorb:
-            return False
+            return True
         if not np.isfinite(scaling).all():
             raise NumericalOverflow(
                 "scaling-mode Sinkhorn under/overflowed "
                 f"(lam={self.lam!r}); retry with log_domain=True"
             )
-        return True
+        return False
 
     def _absorb(self, f: np.ndarray, g: np.ndarray) -> None:
         """Make f, g the absorbed potentials, rebuild K in place and pick
@@ -396,11 +441,12 @@ class _Rule:
         self.pattern = self._build(f, g, self.work)
 
     def _build(self, f: np.ndarray, g: np.ndarray, out: np.ndarray):
-        """K = exp(-cost/lam + f + g) into ``out``, zero below the rule's
-        floor (:func:`_floor`).
+        """K = exp(-cost/lam + f + g), zero below the rule's floor
+        (:func:`_floor`).
 
-        Returns K's pattern if at most _SPARSE_SHARE of it is nonzero,
-        else None.
+        Returns K's pattern if at most _SPARSE_SHARE of it is nonzero, and
+        leaves ``out`` as scratch (:func:`_scatter` writes K from the
+        pattern); else writes K into ``out`` and returns None.
         """
         np.add(self.kernel, f[:, None], out=out)
         out += g[None, :]
@@ -418,8 +464,6 @@ class _Rule:
         index = np.flatnonzero(above)
         data = out.take(index)
         np.exp(data, out=data)
-        out.fill(0.0)
-        out.put(index, data)
         rows, cols = np.divmod(index, out.shape[1])
         return rows, cols, data
 
@@ -460,11 +504,13 @@ class _Batch(_Rule):
     Problem k fills the top-left m_k x n_k corner of slice k of the
     padded stacks; padded entries of the stacked kernel are zero and
     padded scalings are held at 1, so the stacked matvecs give each
-    problem its own products. Whatever differs between problems runs per
-    problem, through _Rule's own methods on a 2-D view of it
-    (:meth:`problem`): the log-sum-exp start, the absorption of a scaling
-    that leaves range, the log-form estimate after an absorption, and the
-    plan.
+    problem its own products. Its fresh 2-D scalings skip the inline
+    range test of _Rule.step and are tested per problem in
+    :meth:`_take_u` and :meth:`_take_v`. Whatever differs between
+    problems runs per problem, through _Rule's own methods on a 2-D view
+    of it (:meth:`problem`): the log-sum-exp start, the absorption of a
+    scaling that leaves range, the log-form estimate after an absorption,
+    and the plan.
 
     While every problem's last rebuild held its pattern (``parts``), the
     matvecs are one bincount over a stacked pattern (:meth:`_layout`),
@@ -533,7 +579,8 @@ class _Batch(_Rule):
         It works in contiguous scratch rather than in the strided view of
         the stack, where the kernel rebuild takes about 1.5 times as long.
         Its pattern, if any, is kept for the stacked matvecs, and its kernel
-        copied into the dense stack, which a dense one builds if none is held.
+        written into the dense stack, from scratch or from its pattern; a
+        dense one builds the stack if none is held.
         """
         rule = self.problem(k)
         m, n = self.shapes[k]
@@ -545,10 +592,12 @@ class _Batch(_Rule):
         if self.work is None and rule.pattern is None:
             self.work = np.zeros(self.u.shape + self.v.shape[1:])
             for j, part in enumerate(self.parts):
-                if part is not None:
-                    self.work[j][part[:2]] = part[2]
+                _scatter(part, self.work[j])
         if self.work is not None:
-            self.work[k, :m, :n] = rule.work
+            if rule.pattern is None:
+                self.work[k, :m, :n] = rule.work
+            else:
+                _scatter(rule.pattern, self.work[k])
         if self.pattern is not None:
             self._place(k)
 
@@ -592,25 +641,25 @@ class _Batch(_Rule):
         return _Rule._matvec(self, scaling, axis)
 
     def step(self) -> None:
-        # (k, (G, v) before the column update) of each problem whose
-        # column half-step was redone in log-sum-exp form this step.
+        # (k, G, v before the column update) of each problem whose column
+        # half-step was redone in log-sum-exp form this step.
         self.redone = []
         _Rule.step(self)
 
     def _start(self) -> None:
         self.absorptions = 1
-        self.before = (self.G, self.v)
+        self.before = (1, self.F, self.G, self.u, self.v)
         for k, (_, n) in enumerate(self.shapes):
-            self.redone.append((k, (np.zeros(n), np.ones(n))))
+            self.redone.append((k, np.zeros(n), np.ones(n)))
             self._redo(k, _Rule._start)
 
     def _rejects(self, scaling: np.ndarray, pad: np.ndarray):
-        """Problems whose fresh scaling fails the keep test."""
+        """Problems whose fresh scaling is outside the range and redone."""
         # Padded entries are 0/0; at 1 they pass every test.
         scaling[pad] = 1.0
         # One test over the whole stack first; in scaling mode it raises
         # NumericalOverflow or passes, so only log-domain problems return.
-        if _Rule._keep(self, scaling):
+        if _in_range(scaling) or not self._redoes(scaling):
             return ()
         return np.flatnonzero(~_in_range(scaling, axis=-1))
 
@@ -621,18 +670,17 @@ class _Batch(_Rule):
 
     def _take_v(self, v: np.ndarray) -> None:
         self.v = v
-        G_before, v_before = self.before
+        _, _, G_before, _, v_before = self.before
         for k in self._rejects(v, self.pad_cols):
             n = self.shapes[k][1]
-            self.redone.append((k, (G_before[k, :n].copy(), v_before[k, :n])))
+            self.redone.append((k, G_before[k, :n].copy(), v_before[k, :n]))
             self._redo(k, _Rule._redo_col)
 
     def near(self, tol: float) -> np.ndarray:
-        estimates = _Rule.estimate(self)
-        for k, before in self.redone:
-            rule = self.problem(k)
-            rule.before = before
-            estimates[k] = rule.estimate()
+        _, _, G, _, v = self.before
+        estimates = _Rule.estimate(self, G, v)
+        for k, G, v in self.redone:
+            estimates[k] = self.problem(k).estimate(G, v)
         return np.flatnonzero(estimates <= tol)
 
     def retain(self, alive: np.ndarray) -> None:
@@ -654,15 +702,22 @@ def _stops(rule: _Rule, problems, config: SinkhornConfig):
     true marginal error of its plan, checked when its cheap estimate
     meets the tolerance, meets it too, or at the iteration cap; it is
     yielded as ``(name, plan, iterations, error)`` and dropped from the rule.
+    The steps and their cheap estimates run in the steps' error state,
+    entered once per run of steps up to the next check of candidates.
     """
     tol = config.marginal_tolerance
     active = np.asarray(problems)
-    for iterations in range(1, config.max_iterations + 1):
-        rule.step()
-        last = iterations == config.max_iterations
-        candidates = range(active.size) if last else rule.near(tol)
-        if not len(candidates):
-            continue
+    iterations = 0
+    while active.size:
+        # Held until a step leaves candidates to check, never across a yield.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            while True:
+                iterations += 1
+                rule.step()
+                last = iterations == config.max_iterations
+                candidates = range(active.size) if last else rule.near(tol)
+                if len(candidates):
+                    break
         alive = np.ones(active.size, dtype=bool)
         for k in candidates:
             problem = rule.problem(k)
@@ -674,9 +729,8 @@ def _stops(rule: _Rule, problems, config: SinkhornConfig):
                 alive[k] = False
         if not alive.all():
             active = active[alive]
-            if not active.size:
-                return
-            rule.retain(alive)
+            if active.size:
+                rule.retain(alive)
 
 
 def sinkhorn(
@@ -822,22 +876,10 @@ class _Taped(_Rule):
         super().__init__(*args)
         self.tape = []
 
-    def _state(self):
-        return self.absorptions, self.F, self.G, self.u, self.v
-
-    def _start(self) -> None:
-        _Rule._start(self)
-        # ``before`` still holds the starting g = 0 and v = 1.
-        G, v = self.before
-        self.tape += [(0, self.F, G, self.u, v), self._state()]
-
-    def _take_u(self, u: np.ndarray) -> None:
-        _Rule._take_u(self, u)
-        self.tape.append(self._state())
-
-    def _take_v(self, v: np.ndarray) -> None:
-        _Rule._take_v(self, v)
-        self.tape.append(self._state())
+    def step(self) -> None:
+        # ``before`` is the row half's record (the start's, in epoch 0).
+        _Rule.step(self)
+        self.tape += self.before, (self.absorptions, self.F, self.G, self.u, self.v)
 
     def pullback(self, plan: np.ndarray, dplan: np.ndarray) -> np.ndarray:
         """d(loss)/d(cost) from d(loss)/d(plan), walking the taped steps back.
@@ -847,13 +889,14 @@ class _Taped(_Rule):
         that kernel, and its term of dkernel is the kernel times a
         rank-one product. Those terms are collected per epoch and added
         once, when the walk leaves the epoch; each earlier epoch's kernel
-        is rebuilt once, as its absorption built it (the last one is
-        still in ``work``). No half-step runs an exp of its own.
+        is rebuilt once, as its absorption built it (the last one is in
+        ``work``, scattered there from its pattern if it holds one). No
+        half-step runs an exp of its own.
         """
         m, n = self.kernel.shape
         tape = self.tape
         neg_mu, neg_nu = -self.mu, -self.nu
-        kernel, held = self.work, tape[-1][0]
+        kernel, held = _scatter(self.pattern, self.work), tape[-1][0]
         # The rank-one factors of dkernel, column k for tape[k]; the held
         # epoch's terms are the columns from k + 1 up to ``end``.
         rows = np.empty((m, len(tape)))
@@ -867,21 +910,31 @@ class _Taped(_Rule):
                     dkernel += _rank_sum(rows[:, k + 1:end], cols[:, k + 1:end], kernel)
                     if kernel is self.work:
                         kernel = np.empty_like(kernel)
-                    self._build(F, G, kernel)
+                    _scatter(self._build(F, G, kernel), kernel)
                     held, end = epoch, k + 1
+                # The products and sums are taken in place: t *= u gives
+                # the bits of u * t, and t += df those of df + t.
                 if k % 2:
                     # soft = K u v^T / nu: dkernel gets K u (-v dg / nu)^T.
+                    # b stays a strided column of cols: on it the einsum
+                    # sums each row in sequence, on a contiguous copy in
+                    # another order, which would move the gradient's bits.
                     b = np.multiply(dg, v, out=cols[:, k])
                     b /= neg_nu
                     rows[:, k] = u
-                    df += u * np.einsum(self._KV, kernel, b)
+                    t = np.einsum(self._KV, kernel, b)
+                    t *= u
+                    t += df
+                    df = t
                 else:
                     # soft = K u v^T / mu: dkernel gets K (-u df / mu) v^T.
                     a = np.multiply(df, u, out=rows[:, k])
                     a /= neg_mu
                     cols[:, k] = v
-                    dg = v * np.einsum(self._KTU, kernel, a)
-                    df = np.zeros(m)
+                    dg = np.einsum(self._KTU, kernel, a)
+                    dg *= v
+                    # The row half overwrites f: df is zero.
+                    df = 0.0
             dkernel += _rank_sum(rows[:, :end], cols[:, :end], kernel)
             return self.cost_vjp(dkernel)
 
@@ -889,6 +942,16 @@ class _Taped(_Rule):
 def _rank_sum(rows: np.ndarray, cols: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """kernel times the sum over t of the outer products rows[:, t] cols[:, t]^T."""
     return np.einsum("it,jt->ij", rows, cols) * kernel
+
+
+def _scatter(pattern, out: np.ndarray) -> np.ndarray:
+    """``out`` as the dense kernel whose nonzeros ``pattern`` holds; with
+    no pattern, ``out`` holds the kernel already."""
+    if pattern is not None:
+        rows, cols, data = pattern
+        out.fill(0.0)
+        out[rows, cols] = data
+    return out
 
 
 def unrolled_sinkhorn(cost: np.ndarray, config: SinkhornConfig, iterations: int):
@@ -909,8 +972,10 @@ def unrolled_sinkhorn(cost: np.ndarray, config: SinkhornConfig, iterations: int)
     rule = _Taped.on(
         cost, uniform_marginal(m), uniform_marginal(n), config.lam, absorb=config.log_domain
     )
-    for _ in range(iterations):
-        rule.step()
+    # The steps' error state (see the module docstring).
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(iterations):
+            rule.step()
     plan = rule.plan()
     # The closure holds the rule, which holds nothing of the closure's,
     # so both are freed by reference counting once the caller drops it.

@@ -327,7 +327,8 @@ class TestOptimize:
         assert out.read_bytes() == tp.read_bytes()
 
     @pytest.mark.parametrize(
-        "options", [("--unroll", 0), ("--lr", -1), ("--lambda", "inf"), ("--lr", "inf")]
+        "options",
+        [("--unroll", 0), ("--lr", -1), ("--lambda", "inf"), ("--lr", "inf"), ("--seed", -1)],
     )
     def test_invalid_option_exit_2(self, runner, tmp_path, options):
         src, tgt = generate_task_pair(SyntheticTaskSpec(samples_per_class=6, seed=3))

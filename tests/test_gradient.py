@@ -217,6 +217,22 @@ class TestInputValidation:
         with pytest.raises(error):
             f_otce_value_and_grad(xs, ys, xt, yt, GradConfig(unroll_iterations=5))
 
+    @pytest.mark.parametrize(
+        "field", ["unroll_iterations", "steps", "source_batch", "target_batch", "seed"]
+    )
+    def test_counts_must_be_integers(self, rng, field):
+        # Rejected at construction, before any solve; numpy integers are counts.
+        for value in (2.5, 3.0, True, "3", None):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                GradConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be >= "):
+            GradConfig(**{field: -1})
+        src = make_set(rng.normal(size=(8, 2)), np.arange(8) % 2)
+        tgt = make_set(rng.normal(size=(6, 2)), np.arange(6) % 2)
+        config = GradConfig(**{"steps": 2, "unroll_iterations": 4, field: np.int64(3)})
+        result = optimize_target_embeddings(src, tgt, config)
+        assert result.trace.shape == (config.steps, 3)
+
 
 def log_sum_exp_walk(cost, config, iterations, dplan):
     """Plan and d(cost) of ``iterations`` unrolled steps, the reverse walked
@@ -276,15 +292,15 @@ class TestUnrolledReverse:
         config = SinkhornConfig(lam=lam, log_domain=log_domain)
         reference_plan, reference = log_sum_exp_walk(cost, config, 40, dplan)
 
-        # Whether each half-step of the forward was redone (it absorbed).
-        redone = []
-        for name in ("_take_u", "_take_v"):
-            def watched(rule, scaling, _take=getattr(ot._Rule, name)):
-                absorptions = rule.absorptions
-                _take(rule, scaling)
-                redone.append(rule.absorptions != absorptions)
-            monkeypatch.setattr(ot._Rule, name, watched)
+        rules = []
+        monkeypatch.setattr(ot._Taped, "plan", lambda rule: rules.append(rule) or ot._Rule.plan(rule))
         plan, pullback = unrolled_sinkhorn(cost, config, 40)
+        # Whether each half-step of the forward after the log-domain start
+        # was redone: it absorbed, so the absorption count it tapes moved on.
+        start = int(log_domain)
+        epochs = [0] + [record[0] for record in rules[0].tape]
+        redone = [after != before for before, after in zip(epochs, epochs[1:])][2 * start:]
+        assert len(redone) == 2 * (40 - start)
         steps = set(zip(redone[::2], redone[1::2]))
 
         builds = []
@@ -302,7 +318,6 @@ class TestUnrolledReverse:
         assert log_domain or not any(redone)
         # Every epoch but the last is rebuilt once: one per absorption,
         # the start's included, and none in plain scaling.
-        start = int(log_domain)
         assert len(builds) == start + sum(redone)
 
     # At lam = 0.01 the log-domain reverse rebuilds earlier epochs' kernels.

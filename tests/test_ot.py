@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from otce import (
+    GradConfig,
     SinkhornConfig,
     exact_ot_bruteforce,
+    f_otce_value_and_grad,
     sinkhorn,
     squared_euclidean_cost,
     transport_cost,
     uniform_marginal,
 )
 from otce import ot
+from otce.ot import unrolled_sinkhorn
 from otce.errors import DimensionMismatch, NumericalOverflow, TooLarge
 
 from conftest import clustered_pair
@@ -21,6 +24,17 @@ from conftest import clustered_pair
 def _lse(a, axis):
     shift = a.max(axis=axis, keepdims=True)
     return (np.log(np.exp(a - shift).sum(axis=axis, keepdims=True)) + shift).squeeze(axis)
+
+
+def kernel_of(rule):
+    """The rule's kernel, dense: ``work``, or zero but for its pattern's
+    entries while it holds one (``work`` is then scratch)."""
+    if rule.pattern is None:
+        return rule.work
+    rows, cols, data = rule.pattern
+    kernel = np.zeros_like(rule.work)
+    kernel[rows, cols] = data
+    return kernel
 
 
 def lse_sinkhorn_plan(cost, lam, iterations):
@@ -220,6 +234,13 @@ class TestSinkhorn:
                 SinkhornConfig(lam=lam)
         with pytest.raises(ValueError):
             SinkhornConfig(max_iterations=0)
+        # A count that is not an integer is rejected at construction, not
+        # mid-solve; numpy integers are counts.
+        for count in (2.5, 3.0, True, "3", None):
+            with pytest.raises(ValueError, match="max_iterations must be an integer"):
+                SinkhornConfig(max_iterations=count)
+        config = SinkhornConfig(max_iterations=np.int64(3), marginal_tolerance=1e-300)
+        assert sinkhorn(np.eye(3), uniform_marginal(3), uniform_marginal(3), config).iterations == 3
         for tolerance in (0.0, np.inf, np.nan):
             with pytest.raises(ValueError):
                 SinkhornConfig(marginal_tolerance=tolerance)
@@ -229,7 +250,7 @@ class TestKernelRebuild:
     # An absorption rebuilds the kernel by a dense exp masked afterwards,
     # or by an exp over the entries above the floor alone, which are then
     # its pattern, chosen by the share of entries above the floor; both
-    # must give the same bytes.
+    # must give the same bytes, the sparse one scattered from its pattern.
     @pytest.mark.parametrize(
         "shape, lam, dense",
         [((100, 98), 0.03, True), ((1000, 1000), 0.0025, False)],
@@ -250,13 +271,15 @@ class TestKernelRebuild:
             out = np.empty_like(rule.work)
             patterns.append(rule._build(rule.F, rule.G, out))
             built.append(out)
-        assert [out.tobytes() for out in built] == [rule.work.tobytes()] * 2
-        # The sparse form's pattern is the dense kernel's nonzeros, row-major.
+        # The dense form writes the kernel; the sparse one returns its
+        # nonzeros, row-major, and leaves ``out`` as scratch.
         assert patterns[0] is None
         rows, cols, data = patterns[1]
+        scattered = np.zeros_like(built[0])
+        scattered[rows, cols] = data
+        assert [built[0].tobytes(), scattered.tobytes()] == [kernel_of(rule).tobytes()] * 2
         index = np.flatnonzero(built[0])
         assert np.array_equal(rows * n + cols, index)
-        assert data.tobytes() == built[0].take(index).tobytes()
 
 
 def clustered_cost(noise):
@@ -289,7 +312,7 @@ class TestSparseKernel:
         m, n = cost.shape
         rule = ot._Rule.on(cost, uniform_marginal(m), uniform_marginal(n), 0.1, absorb=True)
         rule.step()
-        assert np.count_nonzero(rule.work) <= 0.03 * rule.work.size
+        assert np.count_nonzero(kernel_of(rule)) <= 0.03 * rule.work.size
         results, counts = [], []
         for share, form in ((0.0, "dense"), (1.0, "sparse")):
             absorptions.clear()
@@ -312,7 +335,7 @@ class TestSparseKernel:
 
         def counted(rule, f, g, out):
             pattern = build(rule, f, g, out)
-            nonzeros.append(np.count_nonzero(out))
+            nonzeros.append(np.count_nonzero(out) if pattern is None else pattern[2].size)
             return pattern
 
         monkeypatch.setattr(ot._Rule, "_build", counted)
@@ -331,17 +354,19 @@ class TestSparseKernel:
         for _ in range(50):
             rule.step()
         assert rule.pattern is not None
-        dense = np.einsum(rule._KTU, rule.work, rule.u)
+        kernel = kernel_of(rule)
+        dense = np.einsum(rule._KTU, kernel, rule.u)
         assert rule._matvec(rule.u, 1).tobytes() == dense.tobytes()
         rows = rule._matvec(rule.v, 0)
-        assert np.abs(rows - np.einsum(rule._KV, rule.work, rule.v)).max() <= 1e-15 * rows.max()
+        assert np.abs(rows - np.einsum(rule._KV, kernel, rule.v)).max() <= 1e-15 * rows.max()
         # The plan scatters the dense form's products from the pattern.
         cost = class_cost()
         rule = ot._Rule.on(cost, uniform_marginal(300), uniform_marginal(300), 0.1, absorb=True)
         for _ in range(50):
             rule.step()
-        dense = rule.work * rule.u[:, None] * rule.v[None, :]
-        assert rule.pattern is not None and rule.plan().tobytes() == dense.tobytes()
+        assert rule.pattern is not None
+        dense = kernel_of(rule) * rule.u[:, None] * rule.v[None, :]
+        assert rule.plan().tobytes() == dense.tobytes()
 
 
 def solo(cost, config):
@@ -546,7 +571,7 @@ class TestKernelFloor:
         exponent = rule.kernel + rule.F[:, None] + rule.G[None, :]
         # The floor has dropped entries the clamp would keep, and the
         # scalings are near the edge of their range.
-        assert ((rule.work == 0) & (exponent > ot._EXP_CLAMP)).any()
+        assert ((kernel_of(rule) == 0) & (exponent > ot._EXP_CLAMP)).any()
         assert np.abs(np.log(np.r_[rule.u, rule.v])).max() > 20
         exact = np.exp(exponent)
         for axis, scaling in ((0, rule.v), (1, rule.u)):
@@ -558,6 +583,101 @@ class TestKernelFloor:
         m, n = cost.shape
         sinkhorn(cost, uniform_marginal(m), uniform_marginal(n), SinkhornConfig(lam=0.1))
         assert len(kernel_forms) >= 2 and set(kernel_forms) == {"sparse"}
+
+
+class TestRangeTest:
+    # _Rule.step keeps a fresh 1-D scaling only if the entries at its
+    # argmin and argmax lie in range; argmin and argmax take the first
+    # NaN, so a NaN at any position, inside or past a SIMD block, fails.
+    @pytest.mark.parametrize("size", [1, 2, 7, 8, 9, 33, 64, 257])
+    def test_nan_anywhere_is_not_kept(self, size):
+        mu = uniform_marginal(size)
+        rule = ot._Rule.on(np.zeros((size, 3)), mu, uniform_marginal(3), 0.1, absorb=False)
+        for position in {0, size // 2, size - 1}:
+            products = np.ones(size)
+            products[position] = np.nan
+            rule._matvec = lambda scaling, axis: products
+            # Plain scaling raises on a scaling that is not finite.
+            with pytest.raises(NumericalOverflow):
+                rule.step()
+
+
+class TestErrorState:
+    # The steps need division by zero, invalid results and overflow
+    # ignored. The solvers and the unrolled forward enter that state once
+    # per run of steps, never once per step, and leave the caller's state
+    # in force whenever they return or yield.
+    CALLER = {"divide": "raise", "over": "warn", "under": "ignore", "invalid": "raise"}
+
+    @staticmethod
+    def absorbing_cost():
+        # At lam = 0.01 the log-domain steps absorb and rebuild the kernel.
+        rng = np.random.default_rng(2)
+        return squared_euclidean_cost(rng.normal(size=(30, 2)), rng.normal(size=(12, 2)))
+
+    def test_caller_state_kept(self):
+        cost = self.absorbing_cost()
+        config = SinkhornConfig(lam=0.01)
+        with np.errstate(**self.CALLER):
+            sinkhorn(cost, uniform_marginal(30), uniform_marginal(12), config)
+            assert np.geterr() == self.CALLER
+            ot.batched_sinkhorn([cost, cost[:20, :10], cost[5:, 2:]], config)
+            assert np.geterr() == self.CALLER
+            plan, pullback = unrolled_sinkhorn(cost, config, 30)
+            assert np.geterr() == self.CALLER
+            pullback(np.ones_like(plan))
+            assert np.geterr() == self.CALLER
+            labels = np.arange(30) % 3
+            f_otce_value_and_grad(
+                cost[:, :2], labels, cost[:12, :2], labels[:12],
+                GradConfig(sinkhorn=config, unroll_iterations=30),
+            )
+            assert np.geterr() == self.CALLER
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_caller_state_kept_while_suspended(self, batched):
+        # A tight-cluster block converges early, while the loose ones run on.
+        tight, loose = clustered_cost(0.3)[:120, :120], clustered_cost(3.0)[:100, :110]
+        config = SinkhornConfig(lam=0.1, max_iterations=300)
+        if batched:
+            rule, problems = ot._Batch([tight, loose, loose], config.lam, absorb=True), [0, 1, 2]
+        else:
+            rule, problems = ot._Rule.on(tight, uniform_marginal(120), uniform_marginal(120),
+                                         config.lam, absorb=True), [0]
+        with np.errstate(**self.CALLER):
+            stops = ot._stops(rule, problems, config)
+            name, _, iterations, _ = next(stops)
+            assert name == 0 and iterations < 300
+            assert np.geterr() == self.CALLER
+            assert [name for name, *_ in stops] == problems[1:]
+            assert np.geterr() == self.CALLER
+
+    def test_entries_do_not_grow_with_steps(self, monkeypatch):
+        # A call budget: the count of error-state entries of a solve or an
+        # unrolled forward and reverse does not grow with its steps.
+        entries = []
+        errstate = np.errstate
+
+        def counting(**kwargs):
+            entries.append(kwargs)
+            return errstate(**kwargs)
+
+        monkeypatch.setattr(np, "errstate", counting)
+        cost = self.absorbing_cost()
+        counts = []
+        for iterations in (10, 50):
+            entries.clear()
+            plan, pullback = unrolled_sinkhorn(cost, SinkhornConfig(lam=0.01), iterations)
+            pullback(np.ones_like(plan))
+            counts.append(len(entries))
+        for iterations in (100, 400):
+            # A tolerance no plan meets runs the solve to its cap.
+            config = SinkhornConfig(lam=0.01, max_iterations=iterations, marginal_tolerance=1e-300)
+            entries.clear()
+            result = sinkhorn(cost, uniform_marginal(30), uniform_marginal(12), config)
+            assert result.iterations == iterations
+            counts.append(len(entries))
+        assert counts == [2, 2, 1, 1]
 
 
 class TestTransportCost:
