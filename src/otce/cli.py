@@ -10,7 +10,6 @@ the timing fields.
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
 import hashlib
 import json
@@ -27,12 +26,11 @@ from .errors import (
     DegenerateInput,
     EmptyInput,
     InputError,
-    IoFailure,
     MissingClass,
     NonNumericField,
     NumericalError,
 )
-from .fileio import _is_float, read_csv, read_feature_file, write_feature_file
+from .fileio import _csv_rows, _is_float, _make_dir, read_csv, read_feature_file, write_feature_file
 from .gradient import (
     GradConfig,
     nearest_centroid_probe,
@@ -260,32 +258,25 @@ def cmd_corr(pairs_path, method):
 
 
 def _read_pairs_csv(path: Path) -> list[ScoredPair]:
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise IoFailure(f"{path}: {exc}") from exc
     out: list[ScoredPair] = []
-    with fh:
-        for idx, row in enumerate(csv.reader(fh)):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise NonNumericField(
-                    f"{path}: row {idx} has {len(row)} fields, expected "
-                    "task_id, score, accuracy"
-                )
-            if idx == 0 and not _is_float(row[1]):
-                continue  # header line
-            try:
-                score = float(row[1])
-                # NaN would print as bare NaN, which is not JSON.
-                if not np.isfinite(score):
-                    raise ValueError(f"score must be finite, got {row[1]!r}")
-                out.append(
-                    ScoredPair(task_id=row[0], transferability=score, accuracy=float(row[2]))
-                )
-            except ValueError as exc:
-                raise NonNumericField(f"{path}: row {idx}: {exc}") from exc
+    for idx, row in _csv_rows(path):
+        if len(row) != 3:
+            raise NonNumericField(
+                f"{path}: row {idx} has {len(row)} fields, expected "
+                "task_id, score, accuracy"
+            )
+        if idx == 0 and not _is_float(row[1]):
+            continue  # header line
+        try:
+            score = float(row[1])
+            # NaN would print as bare NaN, which is not JSON.
+            if not np.isfinite(score):
+                raise ValueError(f"score must be finite, got {row[1]!r}")
+            out.append(
+                ScoredPair(task_id=row[0], transferability=score, accuracy=float(row[2]))
+            )
+        except ValueError as exc:
+            raise NonNumericField(f"{path}: row {idx}: {exc}") from exc
     return out
 
 
@@ -389,10 +380,10 @@ def cmd_synth(spec_path, out_dir):
     """Generate a seeded synthetic source/target FTRS pair."""
     t0 = time.perf_counter()
     try:
-        raw = json.loads(Path(spec_path).read_text())
+        raw = json.loads(Path(spec_path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise InputError(f"{spec_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"{spec_path}: malformed JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise InputError(f"{spec_path}: spec must be a JSON object")
@@ -401,8 +392,7 @@ def cmd_synth(spec_path, out_dir):
     except (TypeError, ValueError) as exc:
         raise InputError(f"{spec_path}: {exc}") from exc
     src, tgt = generate_task_pair(spec)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_dir(out_dir)
     paths = {"source": out / "source.ftrs", "target": out / "target.ftrs"}
     write_feature_file(src, paths["source"])
     write_feature_file(tgt, paths["target"])

@@ -36,7 +36,8 @@ class NonFiniteValue(InputError):
 
 
 class LabelOutOfRange(InputError):
-    """A label falls outside [0, class_count)."""
+    """A label falls outside [0, class_count), or a label or class count
+    is too wide for its integer field (int64 in memory, int32 in FTRS)."""
 
 
 class RaggedRow(InputError):

@@ -7,7 +7,7 @@ FTRS binary layout (little-endian):
     4       4     u32 version, currently 1
     8       8     u64 n (sample count)
     16      8     u64 d (feature dimension)
-    24      4     u32 class_count
+    24      4     u32 class_count, at most 2**31 (labels are i32)
     28      4     u32 dtype code (0 = 32-bit real)
     32      4*n   i32 labels
     32+4n   4*n*d f32 features, row-major
@@ -16,8 +16,8 @@ Floating payloads are 32-bit on disk and widened to float64 in memory;
 writing casts back to float32, so write-then-read is bit-exact for any
 payload that originated from 32-bit values.
 
-CSV rows are ``label, x_0, ..., x_{d-1}`` with an optional header line;
-the class count is inferred as max label + 1.
+CSV files are UTF-8, with rows ``label, x_0, ..., x_{d-1}`` and an
+optional header line; the class count is inferred as max label + 1.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import numpy as np
 from .data import FeatureSet
 from .errors import (
     DimensionMismatch,
+    InputError,
     IoFailure,
     LabelOutOfRange,
     MalformedHeader,
@@ -104,8 +105,13 @@ def write_feature_file(featureset: FeatureSet, path: str | Path) -> None:
 
     Features are cast to float32; the cast is checked for overflow to
     infinity (NonFiniteValue) so the file always re-validates on load.
+    Labels are int32, so a class count above 2**31 raises LabelOutOfRange.
     """
     path = Path(path)
+    if featureset.class_count > 2**31:
+        raise LabelOutOfRange(
+            f"{path}: class count {featureset.class_count} exceeds 2**31; FTRS labels are int32"
+        )
     with np.errstate(over="ignore"):
         feats32 = featureset.features.astype("<f4")
     bad = ~np.isfinite(feats32)
@@ -141,45 +147,39 @@ def read_csv(path: str | Path, has_header: bool = False) -> FeatureSet:
     labels: list[int] = []
     rows: list[list[float]] = []
     width: int | None = None
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise IoFailure(f"{path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        for idx, row in enumerate(reader):
-            if has_header and idx == 0:
-                continue
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue  # blank line
-            record = len(rows)
-            if width is None:
-                width = len(row)
-                if width < 2:
-                    raise RaggedRow(
-                        f"{path}: record {record} has {width} fields, need >= 2"
-                    )
-            elif len(row) != width:
+    for idx, row in _csv_rows(path):
+        if has_header and idx == 0:
+            continue
+        record = len(rows)
+        if width is None:
+            width = len(row)
+            if width < 2:
                 raise RaggedRow(
-                    f"{path}: record {record} has {len(row)} fields, expected {width}"
+                    f"{path}: record {record} has {width} fields, need >= 2"
                 )
-            try:
-                label = int(row[0])
-            except ValueError as exc:
-                raise NonNumericField(
-                    f"{path}: record {record}, label field {row[0]!r}"
-                ) from exc
-            if label < 0:
-                raise NegativeLabel(f"{path}: record {record}, label {label}")
-            try:
-                values = [float(v) for v in row[1:]]
-            except ValueError:
-                bad = next(v for v in row[1:] if not _is_float(v))
-                raise NonNumericField(
-                    f"{path}: record {record}, field {bad!r}"
-                ) from None
-            labels.append(label)
-            rows.append(values)
+        elif len(row) != width:
+            raise RaggedRow(
+                f"{path}: record {record} has {len(row)} fields, expected {width}"
+            )
+        try:
+            label = int(row[0])
+        except ValueError as exc:
+            raise NonNumericField(
+                f"{path}: record {record}, label field {row[0]!r}"
+            ) from exc
+        if label < 0:
+            raise NegativeLabel(f"{path}: record {record}, label {label}")
+        if label >= 2**63:
+            raise LabelOutOfRange(f"{path}: record {record}, label {label} does not fit int64")
+        try:
+            values = [float(v) for v in row[1:]]
+        except ValueError:
+            bad = next(v for v in row[1:] if not _is_float(v))
+            raise NonNumericField(
+                f"{path}: record {record}, field {bad!r}"
+            ) from None
+        labels.append(label)
+        rows.append(values)
 
     if not rows:
         raise DimensionMismatch(f"{path}: no data rows")
@@ -189,6 +189,36 @@ def read_csv(path: str | Path, has_header: bool = False) -> FeatureSet:
         class_count=max(labels) + 1,
         name=path.stem,
     )
+
+
+def _csv_rows(path: Path):
+    """Yield ``(index, fields)`` for each non-blank row of a UTF-8 CSV file;
+    the index counts blank rows too.
+
+    A file that cannot be opened raises IoFailure, and one that is not
+    UTF-8 or breaks the csv module's rules (such as its field-size limit)
+    raises InputError; both name the file.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for idx, row in enumerate(csv.reader(fh)):
+                if row and (len(row) > 1 or row[0].strip()):
+                    yield idx, row
+    except OSError as exc:
+        raise IoFailure(f"{path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"{path}: not a readable CSV file: {exc}") from exc
+
+
+def _make_dir(path: str | Path) -> Path:
+    """Create directory ``path`` and its parents unless it exists; an
+    OSError, such as a file in its place, raises IoFailure."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"{path}: {exc}") from exc
+    return path
 
 
 def _is_float(text: str) -> bool:

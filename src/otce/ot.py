@@ -201,8 +201,19 @@ def _check_marginals(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> None:
             raise DimensionMismatch(f"{name} must sum to 1 within 1e-12")
         if (vec <= 0).any():
             raise DimensionMismatch(f"{name} must be strictly positive")
+
+
+def _check_cost(cost) -> np.ndarray:
+    """``cost`` as a float64 array, which must be 2-D, non-empty and finite
+    (else DimensionMismatch)."""
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 2:
+        raise DimensionMismatch(f"cost must be 2-D, got ndim={cost.ndim}")
+    if not cost.size:
+        raise DimensionMismatch(f"cost must not be empty, got shape {cost.shape}")
     if not np.isfinite(cost).all():
         raise DimensionMismatch("cost matrix must be finite")
+    return cost
 
 
 # -- the update rule -------------------------------------------------------
@@ -355,8 +366,8 @@ class _Rule:
     def _start(self) -> None:
         # Nothing is absorbed yet, so G and v are the starting g = 0 and v = 1.
         G, v = self.G, self.v
-        f = self.row(G)
-        self._absorb(f, self.col(f))
+        f = self.lse(G, 0)
+        self._absorb(f, self.lse(f, 1))
         # The row half's state: F = f over g = 0, on the kernel of no
         # absorption (epoch 0).
         self.before = (0, self.F, G, self.u, v)
@@ -378,12 +389,12 @@ class _Rule:
     def _redo_row(self) -> None:
         """The row half-update in log-sum-exp form, absorbed."""
         g = self.G + np.log(self.v)
-        self._absorb(self.row(g), g)
+        self._absorb(self.lse(g, 0), g)
 
     def _redo_col(self) -> None:
         """The column half-update in log-sum-exp form, absorbed."""
         f = self.F + np.log(self.u)
-        self._absorb(f, self.col(f))
+        self._absorb(f, self.lse(f, 1))
 
     def estimate(self, G: np.ndarray, v: np.ndarray):
         """Cheap column violation of the plan before the last column update,
@@ -469,25 +480,17 @@ class _Rule:
 
     # -- log-sum-exp form: the start and absorptions ----------------------
 
-    def row(self, g: np.ndarray) -> np.ndarray:
-        """f = log_mu - LSE_j(-cost/lam + g), max-shifted."""
+    def lse(self, potential: np.ndarray, axis: int) -> np.ndarray:
+        """A half-update from the other side's potential, max-shifted, on
+        :meth:`_matvec`'s axis: f = log_mu - LSE_j(-cost/lam + g) from g
+        (axis 0), or g = log_nu - LSE_i(-cost/lam + f) from f (axis 1)."""
         work = self.work
-        np.add(self.kernel, g[None, :], out=work)
-        shift = work.max(axis=1)
-        work -= shift[:, None]
+        np.add(self.kernel, potential[:, None] if axis else potential[None, :], out=work)
+        shift = work.max(axis=1 - axis)
+        work -= shift[None, :] if axis else shift[:, None]
         np.maximum(work, _EXP_CLAMP, out=work)
         np.exp(work, out=work)
-        return self.log_mu - (np.log(work.sum(axis=1)) + shift)
-
-    def col(self, f: np.ndarray) -> np.ndarray:
-        """g = log_nu - LSE_i(-cost/lam + f), max-shifted."""
-        work = self.work
-        np.add(self.kernel, f[:, None], out=work)
-        shift = work.max(axis=0)
-        work -= shift[None, :]
-        np.maximum(work, _EXP_CLAMP, out=work)
-        np.exp(work, out=work)
-        return self.log_nu - (np.log(work.sum(axis=0)) + shift)
+        return (self.log_nu if axis else self.log_mu) - (np.log(work.sum(axis=1 - axis)) + shift)
 
     def plan_vjp(self, plan, dplan):
         # plan = exp(kernel + f + g): one product serves all three adjoints.
@@ -747,16 +750,14 @@ def sinkhorn(
     Raises:
         DimensionMismatch: shapes disagree, marginals are not finite, do
             not sum to 1 within 1e-12 or contain non-positive mass, or
-            cost is not finite.
+            cost is empty or not finite.
         NumericalOverflow: scaling mode only, when ``exp(-c/lam)``
             collapses; callers should retry with ``log_domain=True``.
     """
     config = config or SinkhornConfig()
-    cost = np.asarray(cost, dtype=np.float64)
+    cost = _check_cost(cost)
     mu = np.asarray(mu, dtype=np.float64)
     nu = np.asarray(nu, dtype=np.float64)
-    if cost.ndim != 2:
-        raise DimensionMismatch(f"cost must be 2-D, got ndim={cost.ndim}")
     _check_marginals(cost, mu, nu)
 
     # Held by the driver alone, the rule is freed before the result is
@@ -803,15 +804,10 @@ def batched_sinkhorn(costs, config: SinkhornConfig) -> BatchResult:
     bincount.
 
     Raises:
-        DimensionMismatch: a cost is not 2-D or not finite.
+        DimensionMismatch: a cost is not 2-D, empty or not finite.
         NumericalOverflow: scaling mode only, as in :func:`sinkhorn`.
     """
-    costs = [np.asarray(cost, dtype=np.float64) for cost in costs]
-    for cost in costs:
-        if cost.ndim != 2:
-            raise DimensionMismatch(f"cost must be 2-D, got ndim={cost.ndim}")
-        if not np.isfinite(cost).all():
-            raise DimensionMismatch("cost matrix must be finite")
+    costs = [_check_cost(cost) for cost in costs]
     count = len(costs)
     result = BatchResult(
         np.empty(count), np.empty(count, dtype=np.intp), np.empty(count), np.empty(count, dtype=bool)
@@ -990,9 +986,13 @@ def exact_ot_bruteforce(cost: np.ndarray) -> tuple[float, tuple[int, ...]]:
     value = min over permutations of mean(cost[i, sigma(i)]).
     Returns the value and the first permutation (in lexicographic order)
     attaining it.
+
+    Raises:
+        DimensionMismatch: cost is not square, empty or not finite.
+        TooLarge: n > 8.
     """
-    cost = np.asarray(cost, dtype=np.float64)
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+    cost = _check_cost(cost)
+    if cost.shape[0] != cost.shape[1]:
         raise DimensionMismatch(f"cost must be square, got {cost.shape}")
     n = cost.shape[0]
     if n > 8:

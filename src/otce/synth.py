@@ -21,7 +21,8 @@ import numpy as np
 
 from .data import FeatureSet
 from .errors import InfeasibleSeparation, IoFailure
-from .fileio import write_feature_file
+from .fileio import _make_dir, write_feature_file
+from .ot import _check_integer
 
 __all__ = [
     "SyntheticTaskSpec",
@@ -46,20 +47,16 @@ class SyntheticTaskSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.classes < 2:
-            raise ValueError(f"classes must be >= 2, got {self.classes!r}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim!r}")
-        if self.samples_per_class < 1:
-            raise ValueError(f"samples_per_class must be >= 1, got {self.samples_per_class!r}")
+        _check_integer("classes", self.classes, 2)
+        _check_integer("dim", self.dim, 1)
+        _check_integer("samples_per_class", self.samples_per_class, 1)
         if not self.centroid_separation > 0:
             raise ValueError("centroid_separation must be > 0")
         if self.domain_shift < 0:
             raise ValueError("domain_shift must be >= 0")
         if not 0.0 <= self.label_permutation_fraction <= 1.0:
             raise ValueError("label_permutation_fraction must lie in [0, 1]")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        _check_integer("seed", self.seed, 0)
 
 
 def simplex_centroids(classes: int, dim: int, separation: float) -> np.ndarray:
@@ -197,11 +194,7 @@ def write_sweep(
     source/target pair per (level, seed) and a ``manifest.csv`` with
     columns level, seed, path. Returns the manifest path.
     """
-    out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"{out_dir}: {exc}") from exc
+    out_dir = _make_dir(out_dir)
     manifest = out_dir / "manifest.csv"
     try:
         fh = open(manifest, "w", newline="")

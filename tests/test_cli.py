@@ -407,3 +407,38 @@ class TestSynthAndConvert:
         fs = read_feature_file(out)
         assert fs.features.tolist() == [[1.5, 2.5], [0.25, -1.0]]
         assert fs.labels.tolist() == [0, 1]
+
+
+# Malformed inputs that once ended in a traceback (exit 1) or were taken
+# silently (exit 0: the 3e9 label, samples_per_class 2.5, seed true).
+# IN is the input file written from the bytes, OUT a path that does not exist.
+_LONG = "1" * 200_000  # over csv's 131072-character field limit
+_SYNTH = ["synth", "--spec", "IN", "--out", "OUT"]
+_CONVERT = ["convert", "--csv", "IN", "--out", "OUT"]
+_MALFORMED = {
+    "synth-float-dim": (_SYNTH, b'{"dim": 2.0}'),
+    "synth-float-samples": (_SYNTH, b'{"samples_per_class": 2.5}'),
+    "synth-float-seed": (_SYNTH, b'{"seed": 1.5}'),
+    "synth-bool-seed": (_SYNTH, b'{"seed": true}'),
+    "synth-not-utf8": (_SYNTH, b'{"seed": "\xff"}'),
+    "synth-out-onto-file": (["synth", "--spec", "IN", "--out", "IN"], b"{}"),
+    "convert-long-field": (_CONVERT, f"0,{_LONG}\n".encode()),
+    "convert-not-utf8": (_CONVERT, b"0,1.0\n1,\xff\n"),
+    "convert-label-3e9": (_CONVERT, b"0,1.0\n3000000000,2.0\n"),
+    "convert-label-1e20": (_CONVERT, b"0,1.0\n100000000000000000000,2.0\n"),
+    "corr-long-field": (["corr", "--pairs", "IN"], f"a,{_LONG},0.5\nb,0.1,0.2\n".encode()),
+    "corr-not-utf8": (["corr", "--pairs", "IN"], b"a,0.1,0.5\nb,\xff,0.2\n"),
+}
+
+
+@pytest.mark.parametrize("args,payload", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_input_exit_2(runner, tmp_path, args, payload):
+    given = tmp_path / "given"
+    given.write_bytes(payload)
+    paths = {"IN": given, "OUT": tmp_path / "out"}
+    result = invoke(runner, *(paths.get(a, a) for a in args))
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.output
+    assert not paths["OUT"].exists()

@@ -5,6 +5,7 @@ import pytest
 
 from otce import FeatureSet, read_csv, read_feature_file, write_feature_file
 from otce.errors import (
+    InputError,
     LabelOutOfRange,
     MalformedHeader,
     NegativeLabel,
@@ -71,6 +72,16 @@ class TestFtrsRoundTrip:
         path = tmp_path / "big.ftrs"
         write_feature_file(fs, path)
         assert path.stat().st_size == HEADER.size + 1000 * 4 + 1000 * 512 * 4
+
+    def test_class_count_fits_int32_labels(self, tmp_path):
+        widest = make_set([[0.0], [1.0]], [0, 2**31 - 1], classes=2**31)
+        write_feature_file(widest, tmp_path / "ok.ftrs")
+        assert read_feature_file(tmp_path / "ok.ftrs").labels.tolist() == [0, 2**31 - 1]
+        # 2**31 + 1 classes wrapped their labels; 2**32 + 1 ended in struct.error.
+        for classes in (2**31 + 1, 2**32 + 1):
+            with pytest.raises(LabelOutOfRange, match=r"2\*\*31"):
+                write_feature_file(make_set([[0.0]], [0], classes=classes), tmp_path / "x.ftrs")
+        assert not (tmp_path / "x.ftrs").exists()
 
     def test_float32_overflow_rejected_before_write(self, tmp_path):
         fs = make_set([[1e300]], [0])  # valid float64, not representable in f32
@@ -186,3 +197,29 @@ class TestCsv:
         path.write_text("0,nan\n")
         with pytest.raises(NonFiniteValue):
             read_csv(path)
+
+    @pytest.mark.parametrize("label", [2**63, 10**20])
+    def test_label_wider_than_int64(self, tmp_path, label):
+        path = tmp_path / "a.csv"
+        path.write_text(f"0,1.0\n{label},2.0\n")
+        with pytest.raises(LabelOutOfRange, match="record 1"):
+            read_csv(path)
+
+    def test_field_over_csv_limit(self, tmp_path):
+        # csv refuses fields over 131072 characters.
+        path = tmp_path / "long.csv"
+        path.write_text("0," + "1" * 200_000 + "\n")
+        with pytest.raises(InputError, match="long.csv"):
+            read_csv(path)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"0,1.0\n1,\xff2.0\n")
+        with pytest.raises(InputError, match="latin.csv"):
+            read_csv(path)
+
+    def test_blank_rows_skipped(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("label,x0\n\n0,1.0\n  \n\n1,2.0\n")
+        fs = read_csv(path, has_header=True)
+        assert fs.features[:, 0].tolist() == [1.0, 2.0]

@@ -228,6 +228,14 @@ class TestSinkhorn:
         with pytest.raises(DimensionMismatch):
             sinkhorn(cost, uniform_marginal(2), uniform_marginal(2))
 
+    @pytest.mark.parametrize(
+        "cost", [np.zeros((0, 3)), np.zeros((3, 0)), np.zeros(3), [[0.0, np.nan]]]
+    )
+    def test_batched_rejects_bad_cost(self, cost):
+        # An empty cost ended in a ZeroDivisionError.
+        with pytest.raises(DimensionMismatch):
+            ot.batched_sinkhorn([np.ones((2, 2)), cost], SinkhornConfig())
+
     def test_config_validation(self):
         for lam in (0.0, np.inf, np.nan):
             with pytest.raises(ValueError):
@@ -724,3 +732,8 @@ class TestBruteforce:
     def test_non_square(self):
         with pytest.raises(DimensionMismatch):
             exact_ot_bruteforce(np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("cost", [np.zeros((0, 0)), [[np.nan]], [[0.0, 1.0], [np.inf, 0.0]]])
+    def test_empty_or_non_finite_cost(self, cost):
+        with pytest.raises(DimensionMismatch):
+            exact_ot_bruteforce(cost)

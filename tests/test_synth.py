@@ -108,6 +108,21 @@ class TestGenerateTaskPair:
         with pytest.raises(ValueError):
             SyntheticTaskSpec(centroid_separation=0.0)
 
+    @pytest.mark.parametrize("name", ["classes", "dim", "samples_per_class", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SyntheticTaskSpec(**{name: value})
+
+    def test_numpy_int_counts(self):
+        plain = SyntheticTaskSpec(classes=3, dim=2, samples_per_class=4, seed=5)
+        numpy_ints = SyntheticTaskSpec(
+            classes=np.int64(3), dim=np.int32(2), samples_per_class=np.int64(4), seed=np.int64(5)
+        )
+        got, want = generate_task_pair(numpy_ints)[1], generate_task_pair(plain)[1]
+        assert np.array_equal(got.features, want.features)
+        assert np.array_equal(got.labels, want.labels)
+
 
 class TestCrossMatchingToy:
     def test_sample_distance_metric_ties(self):
