@@ -81,15 +81,21 @@ def _as_input_errors():
         raise InputError(f"invalid option: {exc}") from exc
 
 
-def _metric_config(lam, gamma, max_iter, standardize, log_domain) -> MetricConfig:
+def _metric_run(metric, paths, lam, gamma, max_iter, standardize, log_domain):
+    """The config echo of ``score`` and ``rank``, with ``paths`` after the
+    metric; the metric's function (None for nce, which solves nothing);
+    and its config, checked for every metric, so that the echo holds no
+    invalid value."""
+    echo = {"metric": metric, **paths, "lambda": lam, "gamma": gamma, "max_iter": max_iter,
+            "standardize": standardize, "log_domain": log_domain}
     with _as_input_errors():
-        return MetricConfig(
-            sinkhorn=SinkhornConfig(
-                lam=lam, max_iterations=max_iter, log_domain=log_domain
-            ),
+        config = MetricConfig(
+            sinkhorn=SinkhornConfig(lam=lam, max_iterations=max_iter, log_domain=log_domain),
             gamma=gamma,
             standardize_features=standardize,
         )
+    compute = {MetricId.F_OTCE.value: f_otce, MetricId.JC_OTCE.value: jc_otce}.get(metric)
+    return echo, compute, config
 
 
 def _score_payload(score) -> dict:
@@ -141,13 +147,15 @@ def main() -> None:
 @click.option("--target", "target_path", required=True, help="Target FTRS file.")
 @_with_metric_options
 @_cli_errors
-def cmd_score(metric, source_path, target_path, lam, gamma, max_iter, standardize, log_domain):
+def cmd_score(metric, source_path, target_path, **options):
     """Score one source/target pair with f-otce, jc-otce, or nce."""
     t0 = time.perf_counter()
     src = read_feature_file(source_path)
     tgt = read_feature_file(target_path)
     t1 = time.perf_counter()
-    if metric == MetricId.NCE.value:
+    paths = {"source": str(source_path), "target": str(target_path)}
+    echo, compute, config = _metric_run(metric, paths, **options)
+    if compute is None:
         score = TransferabilityScore(
             metric_id=MetricId.NCE,
             value=nce_paired(src.labels, tgt.labels),
@@ -157,26 +165,10 @@ def cmd_score(metric, source_path, target_path, lam, gamma, max_iter, standardiz
             converged=True,
         )
     else:
-        config = _metric_config(lam, gamma, max_iter, standardize, log_domain)
-        compute = f_otce if metric == MetricId.F_OTCE.value else jc_otce
         score = compute(src, tgt, config)
     results = _score_payload(score)
     t2 = time.perf_counter()
-    _emit(
-        "score",
-        {
-            "metric": metric,
-            "source": str(source_path),
-            "target": str(target_path),
-            "lambda": lam,
-            "gamma": gamma,
-            "max_iter": max_iter,
-            "standardize": standardize,
-            "log_domain": log_domain,
-        },
-        results,
-        {"load": (t1 - t0) * 1e3, "compute": (t2 - t1) * 1e3},
-    )
+    _emit("score", echo, results, {"load": (t1 - t0) * 1e3, "compute": (t2 - t1) * 1e3})
 
 
 @main.command("rank")
@@ -187,7 +179,7 @@ def cmd_score(metric, source_path, target_path, lam, gamma, max_iter, standardiz
               show_default=True)
 @_with_metric_options
 @_cli_errors
-def cmd_rank(target_path, sources_dir, metric, lam, gamma, max_iter, standardize, log_domain):
+def cmd_rank(target_path, sources_dir, metric, **options):
     """Rank every source in a directory against one target."""
     t0 = time.perf_counter()
     directory = Path(sources_dir)
@@ -197,8 +189,8 @@ def cmd_rank(target_path, sources_dir, metric, lam, gamma, max_iter, standardize
     if not files:
         raise EmptyInput(f"no .ftrs files in {directory}")
     tgt = read_feature_file(target_path)
-    config = _metric_config(lam, gamma, max_iter, standardize, log_domain)
-    compute = f_otce if metric == "f-otce" else jc_otce
+    paths = {"target": str(target_path), "sources": str(sources_dir)}
+    echo, compute, config = _metric_run(metric, paths, **options)
     t1 = time.perf_counter()
     details = {}
     pairs = []
@@ -212,21 +204,7 @@ def cmd_rank(target_path, sources_dir, metric, lam, gamma, max_iter, standardize
         for i, p in enumerate(rank_sources(pairs))
     ]
     t2 = time.perf_counter()
-    _emit(
-        "rank",
-        {
-            "metric": metric,
-            "target": str(target_path),
-            "sources": str(sources_dir),
-            "lambda": lam,
-            "gamma": gamma,
-            "max_iter": max_iter,
-            "standardize": standardize,
-            "log_domain": log_domain,
-        },
-        {"ranking": ranking},
-        {"load": (t1 - t0) * 1e3, "compute": (t2 - t1) * 1e3},
-    )
+    _emit("rank", echo, {"ranking": ranking}, {"load": (t1 - t0) * 1e3, "compute": (t2 - t1) * 1e3})
 
 
 @main.command("corr")
@@ -268,12 +246,8 @@ def _read_pairs_csv(path: Path) -> list[ScoredPair]:
         if idx == 0 and not _is_float(row[1]):
             continue  # header line
         try:
-            score = float(row[1])
-            # NaN would print as bare NaN, which is not JSON.
-            if not np.isfinite(score):
-                raise ValueError(f"score must be finite, got {row[1]!r}")
             out.append(
-                ScoredPair(task_id=row[0], transferability=score, accuracy=float(row[2]))
+                ScoredPair(task_id=row[0], transferability=float(row[1]), accuracy=float(row[2]))
             )
         except ValueError as exc:
             raise NonNumericField(f"{path}: row {idx}: {exc}") from exc

@@ -8,6 +8,8 @@ total: a failed constructor never leaks a partially built object.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,42 @@ __all__ = ["FeatureSet", "Coupling", "MetricId", "TransferabilityScore"]
 
 # Total-mass tolerance for couplings and joint label distributions.
 MASS_TOLERANCE = 1e-9
+
+
+def _check_integer(name: str, value, least: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (a Python or numpy
+    int, not a bool) of at least ``least``. A float count or seed would
+    pass the bound and fail later, mid-run, as a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+
+
+def _check_real(name: str, value, low=-math.inf, high=math.inf, open_low=False) -> None:
+    """Raise ValueError unless ``value`` is a finite real number (a Python
+    or numpy int or float, not a bool) in [low, high], or in (low, high]
+    with ``open_low``. A range test alone would pass NaN, which fails
+    every comparison, and a bool, which compares as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if not (low < value if open_low else low <= value) or value > high:
+        left = "(" if open_low or low == -math.inf else "["
+        right = "]" if high < math.inf else ")"
+        raise ValueError(f"{name} must lie in {left}{low:g}, {high:g}{right}, got {value!r}")
+
+
+def _marginal_error(plan: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> float:
+    """L-infinity violation of the marginals ``mu`` (rows) and ``nu``
+    (columns) by ``plan``."""
+    row = np.abs(plan.sum(axis=1) - mu).max()
+    return float(max(row, np.abs(plan.sum(axis=0) - nu).max()))
 
 
 def _frozen_f64(arr: np.ndarray) -> np.ndarray:
@@ -151,9 +189,7 @@ class Coupling:
 
     def marginal_violation(self) -> float:
         """L-infinity violation of the prescribed marginals."""
-        row = np.abs(self.values.sum(axis=1) - self.row_marginal).max()
-        col = np.abs(self.values.sum(axis=0) - self.col_marginal).max()
-        return float(max(row, col))
+        return _marginal_error(self.values, self.row_marginal, self.col_marginal)
 
 
 class MetricId(str, enum.Enum):
@@ -188,9 +224,8 @@ class TransferabilityScore:
     label_marginal_error: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.value > 0.0:
-            raise ValueError(f"score must be <= 0, got {self.value!r}")
+        _check_real("value", self.value, high=0.0)
         if (self.gamma is not None) != (self.metric_id is MetricId.JC_OTCE):
             raise ValueError("gamma must be present exactly for JC-OTCE scores")
-        if self.gamma is not None and not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma!r}")
+        if self.gamma is not None:
+            _check_real("gamma", self.gamma, 0.0, 1.0)

@@ -210,6 +210,16 @@ def _csv_rows(path: Path):
         raise InputError(f"{path}: not a readable CSV file: {exc}") from exc
 
 
+def _write_csv(path: str | Path, rows) -> None:
+    """Write ``rows`` (the header first) to the CSV file ``path``; an
+    OSError while opening, writing or closing it raises IoFailure."""
+    try:
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+    except OSError as exc:
+        raise IoFailure(f"{path}: {exc}") from exc
+
+
 def _make_dir(path: str | Path) -> Path:
     """Create directory ``path`` and its parents unless it exists; an
     OSError, such as a file in its place, raises IoFailure."""

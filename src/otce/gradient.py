@@ -18,24 +18,23 @@ for downstream classifier accuracy.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureSet
+from .data import FeatureSet, _check_integer, _check_real
 from .errors import (
     DimensionMismatch,
     DivergenceDetected,
-    IoFailure,
     MissingClass,
     NonFiniteGradient,
     NonFiniteValue,
     NumericalOverflow,
 )
 from .metrics import _aggregate_joint, _class_counts, _entropy_and_adjoint
-from .ot import SinkhornConfig, _check_integer, squared_euclidean_cost, unrolled_sinkhorn
+from .fileio import _write_csv
+from .ot import SinkhornConfig, _check_features, squared_euclidean_cost, unrolled_sinkhorn
 
 __all__ = [
     "GradConfig",
@@ -73,8 +72,7 @@ class GradConfig:
 
     def __post_init__(self) -> None:
         _check_integer("unroll_iterations", self.unroll_iterations, 1)
-        if not 0 <= self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate!r}")
+        _check_real("learning_rate", self.learning_rate, 0.0)
         _check_integer("steps", self.steps, 0)
         _check_integer("source_batch", self.source_batch, 1)
         _check_integer("target_batch", self.target_batch, 1)
@@ -160,10 +158,7 @@ def optimize_target_embeddings(
             on each of 10 consecutive steps.
         NonFiniteGradient: propagated from the gradient pipeline.
     """
-    if src.dim != tgt.dim:
-        raise DimensionMismatch(
-            f"feature dimensions differ: source {src.dim} vs target {tgt.dim}"
-        )
+    _check_features(src.features, tgt.features)
     rng = np.random.Generator(np.random.Philox(config.seed))
     xt = tgt.features.copy()
     xs = src.features
@@ -212,10 +207,7 @@ def nearest_centroid_probe(train: FeatureSet, test: FeatureSet) -> float:
     have at least one training sample. Distance ties resolve to the
     smaller class index. Deterministic.
     """
-    if train.dim != test.dim:
-        raise DimensionMismatch(
-            f"feature dimensions differ: train {train.dim} vs test {test.dim}"
-        )
+    _check_features(train.features, test.features)
     train_classes = train.present_classes
     missing = np.setdiff1d(test.present_classes, train_classes)
     if missing.size:
@@ -230,11 +222,7 @@ def nearest_centroid_probe(train: FeatureSet, test: FeatureSet) -> float:
 
 def write_trace(trace: np.ndarray, path: str | Path) -> None:
     """Write an optimization trace as CSV: step, f_otce, grad_norm."""
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "f_otce", "grad_norm"])
-            for step, value, norm in trace:
-                writer.writerow([int(step), repr(float(value)), repr(float(norm))])
-    except OSError as exc:
-        raise IoFailure(f"{path}: {exc}") from exc
+    _write_csv(path, [
+        ["step", "f_otce", "grad_norm"],
+        *([int(step), repr(float(value)), repr(float(norm))] for step, value, norm in trace),
+    ])

@@ -21,11 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Coupling, FeatureSet, MetricId, TransferabilityScore
+from .data import Coupling, FeatureSet, MetricId, TransferabilityScore, _check_real
 from .errors import DimensionMismatch, LabelOutOfRange, LengthMismatch
 from .ot import (
     BatchResult,
     SinkhornConfig,
+    _check_features,
     batched_sinkhorn,
     sinkhorn,
     squared_euclidean_cost,
@@ -58,8 +59,7 @@ class MetricConfig:
     standardize_features: bool = False
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma!r}")
+        _check_real("gamma", self.gamma, 0.0, 1.0)
 
 
 def joint_label_distribution(
@@ -152,11 +152,7 @@ def _standardize_pooled(xs: np.ndarray, xt: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _sample_cost(src: FeatureSet, tgt: FeatureSet, config: MetricConfig) -> np.ndarray:
-    if src.dim != tgt.dim:
-        raise DimensionMismatch(
-            f"feature dimensions differ: source {src.dim} vs target {tgt.dim}"
-        )
-    xs, xt = src.features, tgt.features
+    xs, xt = _check_features(src.features, tgt.features)
     if config.standardize_features:
         xs, xt = _standardize_pooled(xs, xt)
     return squared_euclidean_cost(xs, xt)
@@ -287,12 +283,7 @@ def nce_paired(ys: np.ndarray, yt: np.ndarray) -> float:
         raise LengthMismatch(f"paired labels differ in length: {ys.shape[0]} vs {yt.shape[0]}")
     if ys.shape[0] == 0:
         raise LengthMismatch("paired labels must be non-empty")
-    for labels in (ys, yt):
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise LabelOutOfRange(f"labels must be integers, got dtype {labels.dtype}")
-    if ys.min() < 0 or yt.min() < 0:
-        raise LabelOutOfRange("labels must be non-negative")
     n = ys.shape[0]
-    joint = np.zeros((int(ys.max()) + 1, int(yt.max()) + 1))
+    joint = np.zeros(_class_counts(ys, yt, (n, n)))
     np.add.at(joint, (ys, yt), 1.0 / n)
     return negative_conditional_entropy(joint)

@@ -51,14 +51,13 @@ the warnings of the caller's own arithmetic.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
 
-from .data import Coupling
+from .data import Coupling, _check_integer, _check_real, _marginal_error
 from .errors import DimensionMismatch, NumericalOverflow, TooLarge
 
 __all__ = [
@@ -115,25 +114,11 @@ class SinkhornConfig:
     log_domain: bool = True
 
     def __post_init__(self) -> None:
-        # Infinite lam gives the independent coupling, scored as converged.
-        if not 0 < self.lam < np.inf:
-            raise ValueError(f"lam must be finite and > 0, got {self.lam!r}")
+        # Infinite lam gives the independent coupling, scored as converged;
+        # an infinite tolerance would stop the first step, flagged converged.
+        _check_real("lam", self.lam, 0.0, open_low=True)
         _check_integer("max_iterations", self.max_iterations, 1)
-        # An infinite tolerance would stop the first step, flagged converged.
-        if not 0 < self.marginal_tolerance < np.inf:
-            raise ValueError(
-                f"marginal_tolerance must be finite and > 0, got {self.marginal_tolerance!r}"
-            )
-
-
-def _check_integer(name: str, value, least: int) -> None:
-    """Raise ValueError unless ``value`` is an integer (a Python or numpy
-    int, not a bool) of at least ``least``. A float count or seed would
-    pass the bound and fail later, mid-run, as a TypeError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+        _check_real("marginal_tolerance", self.marginal_tolerance, 0.0, open_low=True)
 
 
 @dataclass(frozen=True)
@@ -157,20 +142,25 @@ def uniform_marginal(size: int) -> np.ndarray:
     return np.full(size, 1.0 / size)
 
 
+def _check_features(xs, xt) -> tuple[np.ndarray, np.ndarray]:
+    """``xs`` and ``xt`` as float64 arrays, which must be 2-D (samples,
+    features) with one feature dimension (else DimensionMismatch)."""
+    xs = np.asarray(xs, dtype=np.float64)
+    xt = np.asarray(xt, dtype=np.float64)
+    if xs.ndim != 2 or xt.ndim != 2:
+        raise DimensionMismatch("features must be 2-D (samples, features)")
+    if xs.shape[1] != xt.shape[1]:
+        raise DimensionMismatch(f"feature dimensions differ: {xs.shape[1]} vs {xt.shape[1]}")
+    return xs, xt
+
+
 def squared_euclidean_cost(xs: np.ndarray, xt: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, an (m, n) cost matrix.
 
     cost[i, j] = || xs[i] - xt[j] ||^2, clipped at zero to absorb the
     tiny negatives the expanded form can produce.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    xt = np.asarray(xt, dtype=np.float64)
-    if xs.ndim != 2 or xt.ndim != 2:
-        raise DimensionMismatch("inputs must be 2-D (samples, features)")
-    if xs.shape[1] != xt.shape[1]:
-        raise DimensionMismatch(
-            f"feature dimensions differ: {xs.shape[1]} vs {xt.shape[1]}"
-        )
+    xs, xt = _check_features(xs, xt)
     sq_s = np.einsum("ij,ij->i", xs, xs)
     sq_t = np.einsum("ij,ij->i", xt, xt)
     cost = sq_s[:, None] + sq_t[None, :] - 2.0 * (xs @ xt.T)
@@ -725,8 +715,7 @@ def _stops(rule: _Rule, problems, config: SinkhornConfig):
         for k in candidates:
             problem = rule.problem(k)
             plan = problem.plan()
-            row = np.abs(plan.sum(axis=1) - problem.mu).max()
-            error = float(max(row, np.abs(plan.sum(axis=0) - problem.nu).max()))
+            error = _marginal_error(plan, problem.mu, problem.nu)
             if error <= tol or last:
                 yield active[k], plan, iterations, error
                 alive[k] = False

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _check_real
 from .errors import DegenerateInput, EmptyInput, LengthMismatch, NonFiniteValue
 
 __all__ = ["ScoredPair", "spearman_rho", "kendall_tau", "rank_sources"]
@@ -19,15 +20,17 @@ __all__ = ["ScoredPair", "spearman_rho", "kendall_tau", "rank_sources"]
 
 @dataclass(frozen=True)
 class ScoredPair:
-    """A task's predicted transferability and optional known accuracy."""
+    """A task's predicted transferability, a finite real number, and
+    optional known accuracy, in [0, 1]."""
 
     task_id: str
     transferability: float
     accuracy: float | None = None
 
     def __post_init__(self) -> None:
-        if self.accuracy is not None and not 0.0 <= self.accuracy <= 1.0:
-            raise ValueError(f"accuracy must lie in [0, 1], got {self.accuracy!r}")
+        _check_real("transferability", self.transferability)
+        if self.accuracy is not None:
+            _check_real("accuracy", self.accuracy, 0.0, 1.0)
 
 
 def _paired(acc, trf) -> tuple[np.ndarray, np.ndarray]:

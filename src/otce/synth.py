@@ -13,16 +13,14 @@ underlying geometry is shared across knob levels for a fixed seed
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureSet
-from .errors import InfeasibleSeparation, IoFailure
-from .fileio import _make_dir, write_feature_file
-from .ot import _check_integer
+from .data import FeatureSet, _check_integer, _check_real
+from .errors import InfeasibleSeparation
+from .fileio import _make_dir, _write_csv, write_feature_file
 
 __all__ = [
     "SyntheticTaskSpec",
@@ -38,6 +36,24 @@ _ROTATION_PER_UNIT = 0.2
 
 @dataclass(frozen=True)
 class SyntheticTaskSpec:
+    """Knobs of one synthetic source/target pair, checked on construction.
+
+    classes: number of classes, an integer >= 2.
+    dim: feature dimension, an integer >= 1; generating a pair needs
+        at least classes - 1 (InfeasibleSeparation otherwise).
+    samples_per_class: samples of each class in each task, an integer >= 1.
+    centroid_separation: distance between every two class centroids, a
+        finite real number > 0.
+    domain_shift: magnitude of the rigid transform from source to
+        target, a finite real number >= 0 (0 leaves the geometry as is).
+    label_permutation_fraction: share of target labels redrawn
+        uniformly, a finite real number in [0, 1].
+    seed: Philox seed of every draw, an integer >= 0.
+
+    Real fields take Python or numpy ints and floats, never bools;
+    counts and the seed take ints only.
+    """
+
     classes: int = 3
     dim: int = 2
     samples_per_class: int = 20
@@ -50,12 +66,9 @@ class SyntheticTaskSpec:
         _check_integer("classes", self.classes, 2)
         _check_integer("dim", self.dim, 1)
         _check_integer("samples_per_class", self.samples_per_class, 1)
-        if not self.centroid_separation > 0:
-            raise ValueError("centroid_separation must be > 0")
-        if self.domain_shift < 0:
-            raise ValueError("domain_shift must be >= 0")
-        if not 0.0 <= self.label_permutation_fraction <= 1.0:
-            raise ValueError("label_permutation_fraction must lie in [0, 1]")
+        _check_real("centroid_separation", self.centroid_separation, 0.0, open_low=True)
+        _check_real("domain_shift", self.domain_shift, 0.0)
+        _check_real("label_permutation_fraction", self.label_permutation_fraction, 0.0, 1.0)
         _check_integer("seed", self.seed, 0)
 
 
@@ -195,20 +208,14 @@ def write_sweep(
     columns level, seed, path. Returns the manifest path.
     """
     out_dir = _make_dir(out_dir)
-    manifest = out_dir / "manifest.csv"
-    try:
-        fh = open(manifest, "w", newline="")
-    except OSError as exc:
-        raise IoFailure(f"{manifest}: {exc}") from exc
-    with fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "seed", "path"])
-        for idx, level in enumerate(levels):
-            for seed in seeds:
-                spec = replace(base, seed=seed, **{knob: level})
-                src, tgt = generate_task_pair(spec)
-                for role, featureset in (("source", src), ("target", tgt)):
-                    path = out_dir / f"level{idx:02d}_seed{seed}_{role}.ftrs"
-                    write_feature_file(featureset, path)
-                    writer.writerow([repr(float(level)), seed, path.name])
-    return manifest
+    rows = [["level", "seed", "path"]]
+    for idx, level in enumerate(levels):
+        for seed in seeds:
+            spec = replace(base, seed=seed, **{knob: level})
+            src, tgt = generate_task_pair(spec)
+            for role, featureset in (("source", src), ("target", tgt)):
+                path = out_dir / f"level{idx:02d}_seed{seed}_{role}.ftrs"
+                write_feature_file(featureset, path)
+                rows.append([repr(float(level)), seed, path.name])
+    _write_csv(out_dir / "manifest.csv", rows)
+    return out_dir / "manifest.csv"

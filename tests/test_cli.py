@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -172,6 +173,8 @@ class TestScore:
         ("--metric", "f-otce", "--lambda", "inf"),
         ("--metric", "f-otce", "--max-iter", 0),
         ("--metric", "jc-otce", "--gamma", 2),
+        # nce takes neither option, but its report echoes both.
+        ("--metric", "nce", "--lambda", "nan"),
     ])
     def test_invalid_option_exit_2(self, runner, task_files, options):
         src, tgt = task_files
@@ -409,9 +412,11 @@ class TestSynthAndConvert:
         assert fs.labels.tolist() == [0, 1]
 
 
-# Malformed inputs that once ended in a traceback (exit 1) or were taken
-# silently (exit 0: the 3e9 label, samples_per_class 2.5, seed true).
-# IN is the input file written from the bytes, OUT a path that does not exist.
+# Malformed inputs that once ended in a traceback (exit 1), were taken
+# silently (exit 0: the 3e9 label, samples_per_class 2.5, seed true, a NaN
+# shift, a true separation or fraction) or failed only after a numpy
+# RuntimeWarning (an infinite separation or shift). IN is the input file
+# written from the bytes, OUT a path that does not exist.
 _LONG = "1" * 200_000  # over csv's 131072-character field limit
 _SYNTH = ["synth", "--spec", "IN", "--out", "OUT"]
 _CONVERT = ["convert", "--csv", "IN", "--out", "OUT"]
@@ -420,6 +425,12 @@ _MALFORMED = {
     "synth-float-samples": (_SYNTH, b'{"samples_per_class": 2.5}'),
     "synth-float-seed": (_SYNTH, b'{"seed": 1.5}'),
     "synth-bool-seed": (_SYNTH, b'{"seed": true}'),
+    "synth-nan-shift": (_SYNTH, b'{"domain_shift": NaN}'),
+    "synth-inf-shift": (_SYNTH, b'{"domain_shift": Infinity}'),
+    "synth-huge-int-shift": (_SYNTH, b'{"domain_shift": 1' + b"0" * 400 + b"}"),
+    "synth-inf-separation": (_SYNTH, b'{"centroid_separation": Infinity}'),
+    "synth-bool-separation": (_SYNTH, b'{"centroid_separation": true}'),
+    "synth-bool-fraction": (_SYNTH, b'{"label_permutation_fraction": true}'),
     "synth-not-utf8": (_SYNTH, b'{"seed": "\xff"}'),
     "synth-out-onto-file": (["synth", "--spec", "IN", "--out", "IN"], b"{}"),
     "convert-long-field": (_CONVERT, f"0,{_LONG}\n".encode()),
@@ -442,3 +453,42 @@ def test_malformed_input_exit_2(runner, tmp_path, args, payload):
     lines = result.output.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), result.output
     assert not paths["OUT"].exists()
+    # A rejected spec field is named.
+    field = re.match(rb'\{"(\w+)": [^"]', payload)
+    if args == _SYNTH and field:
+        assert field[1].decode() in lines[0]
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"bare {constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_every_command_reports_strict_json(runner, tmp_path, task_files):
+    # json.loads takes a bare NaN or Infinity unless told not to.
+    src, tgt = task_files
+    sources = tmp_path / "sources"
+    sources.mkdir()
+    (sources / "a.ftrs").write_bytes(src.read_bytes())
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("a,-0.9,0.1\nb,-0.5,0.5\nc,-0.1,0.9\n")
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"samples_per_class": 4, "domain_shift": 1.5}')
+    csv_path = tmp_path / "in.csv"
+    csv_path.write_text("0,1.5,2.5\n1,0.25,-1.0\n")
+    commands = [
+        *(["score", "--metric", m, "--source", src, "--target", tgt]
+          for m in ("f-otce", "jc-otce", "nce")),
+        ["rank", "--target", tgt, "--sources", sources],
+        ["corr", "--pairs", pairs],
+        ["optimize", "--source", src, "--target", tgt, "--out", tmp_path / "o.ftrs",
+         "--steps", 2, "--trace", tmp_path / "trace.csv"],
+        ["synth", "--spec", spec, "--out", tmp_path / "synth"],
+        ["convert", "--csv", csv_path, "--out", tmp_path / "c.ftrs"],
+    ]
+    for args in commands:
+        result = invoke(runner, *args)
+        assert result.exit_code == 0, result.output
+        assert _strict_json(result.stdout)["command"] == args[0]

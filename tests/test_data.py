@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from otce import Coupling, FeatureSet, MetricId, TransferabilityScore
+from otce import (
+    Coupling,
+    FeatureSet,
+    GradConfig,
+    MetricConfig,
+    MetricId,
+    ScoredPair,
+    SinkhornConfig,
+    SyntheticTaskSpec,
+    TransferabilityScore,
+)
 from otce.errors import DimensionMismatch, LabelOutOfRange, NonFiniteValue
 
 from conftest import make_set
@@ -85,3 +95,35 @@ class TestTransferabilityScore:
             TransferabilityScore(MetricId.JC_OTCE, -0.5, 0.1, None, 3, True)
         score = TransferabilityScore(MetricId.JC_OTCE, -0.5, 0.1, 0.5, 3, True)
         assert score.gamma == 0.5
+
+
+# Each real-valued field, with a constructor that sets it alone and an
+# int it accepts.
+_REAL_FIELDS = {
+    "SinkhornConfig.lam": (lambda v: SinkhornConfig(lam=v), 1),
+    "SinkhornConfig.marginal_tolerance": (lambda v: SinkhornConfig(marginal_tolerance=v), 1),
+    "MetricConfig.gamma": (lambda v: MetricConfig(gamma=v), 0),
+    "GradConfig.learning_rate": (lambda v: GradConfig(learning_rate=v), 5),
+    "TransferabilityScore.value": (
+        lambda v: TransferabilityScore(MetricId.F_OTCE, v, 0.1, None, 3, True), 0),
+    "TransferabilityScore.gamma": (
+        lambda v: TransferabilityScore(MetricId.JC_OTCE, -0.5, 0.1, v, 3, True), 1),
+    "SyntheticTaskSpec.centroid_separation": (
+        lambda v: SyntheticTaskSpec(centroid_separation=v), 4),
+    "SyntheticTaskSpec.domain_shift": (lambda v: SyntheticTaskSpec(domain_shift=v), 2),
+    "SyntheticTaskSpec.label_permutation_fraction": (
+        lambda v: SyntheticTaskSpec(label_permutation_fraction=v), 1),
+    "ScoredPair.transferability": (lambda v: ScoredPair("b", v), -3),
+    "ScoredPair.accuracy": (lambda v: ScoredPair("b", -0.5, accuracy=v), 1),
+}
+
+
+@pytest.mark.parametrize("make, valid", _REAL_FIELDS.values(), ids=_REAL_FIELDS.keys())
+def test_real_fields_finite_real_numbers(make, valid):
+    # NaN fails every comparison and True compares as 1, so a range test
+    # alone passed both.
+    for bad in (np.nan, np.inf, -np.inf, True, "1"):
+        with pytest.raises(ValueError):
+            make(bad)
+    for good in (valid, np.int64(valid), float(valid), np.float64(valid), np.float32(valid)):
+        make(good)

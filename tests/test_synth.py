@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from otce import (
     read_feature_file,
     write_sweep,
 )
-from otce.errors import InfeasibleSeparation
+from otce.errors import InfeasibleSeparation, IoFailure
 from otce.synth import simplex_centroids
 
 
@@ -161,3 +162,12 @@ class TestWriteSweep:
             _, _, name = line.split(",")
             fs = read_feature_file(manifest.parent / name)
             assert fs.n == 9
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_manifest_write_failure_is_io_failure(self, tmp_path):
+        # Writes to /dev/full fail with ENOSPC, here when the manifest is closed.
+        out = tmp_path / "sweep"
+        out.mkdir()
+        (out / "manifest.csv").symlink_to("/dev/full")
+        with pytest.raises(IoFailure, match="manifest.csv"):
+            write_sweep(out, SyntheticTaskSpec(samples_per_class=3), "domain_shift", [0.0], [0])
