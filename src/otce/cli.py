@@ -29,6 +29,7 @@ from .errors import (
     MissingClass,
     NonNumericField,
     NumericalError,
+    OtceError,
 )
 from .fileio import _csv_rows, _is_float, _make_dir, read_csv, read_feature_file, write_feature_file
 from .gradient import (
@@ -196,7 +197,11 @@ def cmd_rank(target_path, sources_dir, metric, **options):
     pairs = []
     for path in files:
         src = read_feature_file(path)
-        score = compute(src, tgt, config)
+        try:
+            score = compute(src, tgt, config)
+        except OtceError as exc:
+            # Name the failing source; the error keeps its class, so its exit code.
+            raise type(exc)(f"{path}: {exc}") from exc
         pairs.append(ScoredPair(task_id=src.name, transferability=score.value))
         details[src.name] = _score_payload(score)
     ranking = [

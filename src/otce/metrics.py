@@ -108,11 +108,13 @@ def _class_counts(ys, yt, shape, source_classes=None, target_classes=None) -> tu
 def _aggregate_joint(
     plan: np.ndarray, ys: np.ndarray, yt: np.ndarray, cs: int, ct: int
 ) -> np.ndarray:
-    s_ind = np.zeros((plan.shape[0], cs))
-    s_ind[np.arange(plan.shape[0]), ys] = 1.0
-    t_ind = np.zeros((plan.shape[1], ct))
-    t_ind[np.arange(plan.shape[1]), yt] = 1.0
-    return s_ind.T @ plan @ t_ind
+    """The (cs, ct) sums of the plan's entries per (ys, yt) label pair.
+
+    One sequential ``np.bincount`` over the entries in row-major order,
+    not a BLAS product, so its bits do not depend on the thread count.
+    """
+    cells = (ys.astype(np.intp) * ct)[:, None] + yt.astype(np.intp)
+    return np.bincount(cells.ravel(), weights=plan.ravel(), minlength=cs * ct).reshape(cs, ct)
 
 
 def negative_conditional_entropy(joint: np.ndarray) -> float:

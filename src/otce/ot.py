@@ -4,14 +4,16 @@ The solver minimizes ``sum(c * pi) - lam * H(pi)`` with
 ``H(pi) = -sum(pi * log(pi))`` over couplings with prescribed marginals.
 It iterates the scaling updates ``u = mu / (K v)``, ``v = nu / (K^T u)``
 on a kernel ``K = exp(-c/lam + F + G)``. By default (``log_domain``) the
-iteration is stabilized: it starts with one log-sum-exp update pair,
-and whenever a scaling leaves ``[e^-_ABSORB, e^_ABSORB]`` or is not
-finite, that half-update is redone in log-sum-exp form and absorbed into
-the log potentials F and G, and the kernel is rebuilt (Schmitzer 2019,
-"Stabilized sparse scaling algorithms for entropy regularized
-transport"). Plain scaling (``log_domain=False``) never absorbs, keeps
-F = G = 0, and raises :class:`NumericalOverflow` when ``exp(-c/lam)``
-degenerates; it is kept for cross-checking. A rebuilt kernel is exactly
+iteration is stabilized: whenever a scaling leaves ``[e^-_ABSORB,
+e^_ABSORB]`` or is not finite, that half-update is redone in log-sum-exp
+form and absorbed into the log potentials F and G, and the kernel is
+rebuilt (Schmitzer 2019, "Stabilized sparse scaling algorithms for
+entropy regularized transport"). The iteration starts on an empty
+kernel, so its first row half is such a redone half-step; nothing else
+is special about the start. Plain scaling (``log_domain=False``) starts
+on ``exp(-c/lam)``, never absorbs, keeps F = G = 0, and raises
+:class:`NumericalOverflow` when ``exp(-c/lam)`` degenerates; it is kept
+for cross-checking. A rebuilt kernel is exactly
 zero below a floor (:func:`_floor`) at which the dropped entries change
 no kept scaling update by more than 2^-53 e^-20 of itself, so in
 practice values are unchanged to the bit; when few entries are left
@@ -28,9 +30,8 @@ pairs) as padded stacks of problems of similar shape, with the same rule
 applied per problem wherever problems differ. :func:`unrolled_sinkhorn`
 replays exactly K of the same steps for the differentiable path in
 :mod:`otce.gradient` and walks them backwards, every half-step, kept or
-redone, the start's included, as matvecs on its epoch's kernel (the
-kernel between two absorptions, rebuilt once per epoch), with no exp
-per step.
+redone, as matvecs on its epoch's kernel (the kernel between two
+absorptions, rebuilt once per epoch), with no exp per step.
 
 The solvers and the unrolled reverse use no BLAS call: every product is
 an einsum, ufunc or sequential ``np.bincount`` loop and every reduction
@@ -210,9 +211,9 @@ def _check_cost(cost) -> np.ndarray:
 #
 # The Sinkhorn iteration alternates a row potential f and a column
 # potential g, starting from g = 0. _Rule computes each half-update as a
-# kernel matvec, and in log-sum-exp form to start and to absorb. The
-# solver and the unrolled gradient both drive _Rule.step, so their ops
-# match bit for bit. The reverse has one form (_Taped.pullback): a
+# kernel matvec, and in log-sum-exp form to absorb. The solver and the
+# unrolled gradient both drive _Rule.step, so their ops match bit for
+# bit. The reverse has one form (_Taped.pullback): a
 # half-step's softmax is its epoch's kernel times u v^T, over mu or nu.
 # A redone half-step opens its epoch with u = v = 1, so the kernel its
 # absorption builds is its softmax, and it is pulled back by the same
@@ -223,6 +224,13 @@ def _check_cost(cost) -> np.ndarray:
 _ABSORB = 60.0
 _SCALING_LO = float(np.exp(-_ABSORB))
 _SCALING_HI = float(np.exp(_ABSORB))
+
+
+# The kernel a log-domain rule starts on: a pattern with no entries,
+# read-only, as every rule shares it. Its first row scalings are infinite,
+# so the first row half is redone in log-sum-exp form and absorbed, as
+# any scaling out of range is.
+_EMPTY = tuple(np.broadcast_to(dtype(0), (0,)) for dtype in (np.intp, np.intp, np.float64))
 
 
 def _floor(log_mu: np.ndarray, log_nu: np.ndarray) -> float:
@@ -256,16 +264,18 @@ class _Rule:
     K = exp(-cost/lam + F + G), held in ``work``.
 
     F and G are absorbed log potentials; the effective potentials are
-    f = F + log u and g = G + log v. With ``absorb`` (log-domain mode) the
-    first iteration is a log-sum-exp pair, after which K is built. A
+    f = F + log u and g = G + log v. With ``absorb`` (log-domain mode) a
     fresh scaling that is not finite or leaves [e^-_ABSORB, e^_ABSORB]
     is dropped: its half-update is redone in log-sum-exp form from the
     effective potentials (with ``work`` as its workspace), folded into F
     and G, u and v reset to 1 and K rebuilt, exactly zero below a floor (see
     :func:`_floor`). Every half-update is thus the exact Sinkhorn step,
-    to the bit in practice. Without ``absorb`` (plain scaling) F = G = 0, the
-    kernel is unclamped, so honest underflow to zero shows up in the
-    finite check of each half-update, which raises NumericalOverflow.
+    to the bit in practice. Such a rule starts on the empty kernel
+    (:meth:`on`), whose first row scalings are infinite, so that is how
+    K is first built. Without ``absorb`` (plain scaling) F = G = 0, the
+    kernel exp(-cost/lam) is unclamped, so honest underflow to zero shows
+    up in the finite check of each half-update, which raises
+    NumericalOverflow.
 
     ``work`` is K's dense store and the log-sum-exp form's workspace. The
     matvecs (einsums) and the plan read it, or, while an absorption has
@@ -299,16 +309,21 @@ class _Rule:
 
     @classmethod
     def on(cls, cost: np.ndarray, mu: np.ndarray, nu: np.ndarray, lam: float, absorb: bool):
-        """The rule at the start of a solve on ``cost``: F = G = 0, u = v = 1."""
+        """The rule at the start of a solve on ``cost``: F = G = 0, u = v = 1,
+        on exp(-cost/lam) in plain scaling and on the empty kernel (_EMPTY)
+        in log-domain mode."""
         kernel = cost * (-1.0 / lam)
         work = np.empty_like(kernel)
         if not absorb:
             np.exp(kernel, out=work)
         m, n = kernel.shape
-        return cls(
+        rule = cls(
             kernel, work, mu, nu, np.log(mu), np.log(nu), lam, absorb,
             np.zeros(m), np.zeros(n), np.ones(m), np.ones(n),
         )
+        if absorb:
+            rule.pattern = _EMPTY
+        return rule
 
     # Matvec subscripts; _Batch prefixes them with its problem axis.
     _KV = "ij,j->i"
@@ -321,9 +336,6 @@ class _Rule:
         ``before`` is left holding the state after the row half:
         (absorptions, F, G, u, v).
         """
-        if self.absorb and not self.absorptions:
-            self._start()
-            return
         # A fresh 1-D scaling in range is kept here. x[x.argmin()] is the
         # minimum, or the first NaN, which fails both comparisons; on small
         # scalings it costs a third of a ufunc reduction. The rest go to
@@ -352,15 +364,6 @@ class _Rule:
         shape = (self.v if axis else self.u).shape
         weights = data * scaling.reshape(-1)[read]
         return np.bincount(into, weights=weights, minlength=math.prod(shape)).reshape(shape)
-
-    def _start(self) -> None:
-        # Nothing is absorbed yet, so G and v are the starting g = 0 and v = 1.
-        G, v = self.G, self.v
-        f = self.lse(G, 0)
-        self._absorb(f, self.lse(f, 1))
-        # The row half's state: F = f over g = 0, on the kernel of no
-        # absorption (epoch 0).
-        self.before = (0, self.F, G, self.u, v)
 
     def _take_u(self, u: np.ndarray) -> None:
         """Take a fresh u outside the range (see :meth:`_redoes`)."""
@@ -468,7 +471,7 @@ class _Rule:
         rows, cols = np.divmod(index, out.shape[1])
         return rows, cols, data
 
-    # -- log-sum-exp form: the start and absorptions ----------------------
+    # -- log-sum-exp form: absorptions -------------------------------------
 
     def lse(self, potential: np.ndarray, axis: int) -> np.ndarray:
         """A half-update from the other side's potential, max-shifted, on
@@ -482,14 +485,6 @@ class _Rule:
         np.exp(work, out=work)
         return (self.log_nu if axis else self.log_mu) - (np.log(work.sum(axis=1 - axis)) + shift)
 
-    def plan_vjp(self, plan, dplan):
-        # plan = exp(kernel + f + g): one product serves all three adjoints.
-        weighted = dplan * plan
-        return weighted.sum(axis=1), weighted.sum(axis=0), weighted
-
-    def cost_vjp(self, dkernel: np.ndarray) -> np.ndarray:
-        return dkernel * (-1.0 / self.lam)
-
 
 class _Batch(_Rule):
     """Independent problems stacked on a leading axis and stepped together.
@@ -501,12 +496,13 @@ class _Batch(_Rule):
     range test of _Rule.step and are tested per problem in
     :meth:`_take_u` and :meth:`_take_v`. Whatever differs between
     problems runs per problem, through _Rule's own methods on a 2-D view
-    of it (:meth:`problem`): the log-sum-exp start, the absorption of a
-    scaling that leaves range, the log-form estimate after an absorption,
-    and the plan.
+    of it (:meth:`problem`): the absorption of a scaling that leaves
+    range (the first row half of each, in log-domain mode), the log-form
+    estimate after an absorption, and the plan.
 
-    While every problem's last rebuild held its pattern (``parts``), the
-    matvecs are one bincount over a stacked pattern (:meth:`_layout`),
+    While every problem holds a pattern (``parts``: its last rebuild's,
+    or the empty kernel's at a log-domain start), the matvecs are one
+    bincount over a stacked pattern (:meth:`_layout`),
     which holds each problem's nonzeros in its own row-major order, so
     each problem's sums add the same terms in the same order as
     :func:`sinkhorn` on its cost alone; otherwise they are einsums over
@@ -549,7 +545,7 @@ class _Batch(_Rule):
         self.pad_cols = nu == 0.0
         # Each problem's pattern in its own indices, or None while its
         # kernel is dense.
-        self.parts = [None] * count
+        self.parts = [_EMPTY if absorb else None] * count
 
     def problem(self, k: int) -> _Rule:
         """Problem k as a 2-D _Rule on its kernel, its pattern and views into the stacks.
@@ -638,13 +634,6 @@ class _Batch(_Rule):
         # half-step was redone in log-sum-exp form this step.
         self.redone = []
         _Rule.step(self)
-
-    def _start(self) -> None:
-        self.absorptions = 1
-        self.before = (1, self.F, self.G, self.u, self.v)
-        for k, (_, n) in enumerate(self.shapes):
-            self.redone.append((k, np.zeros(n), np.ones(n)))
-            self._redo(k, _Rule._start)
 
     def _rejects(self, scaling: np.ndarray, pad: np.ndarray):
         """Problems whose fresh scaling is outside the range and redone."""
@@ -852,9 +841,9 @@ class _Taped(_Rule):
     index, a column half at each odd one. The epoch is the absorption
     count, so it names the kernel the record's F and G build; that
     kernel times u v^T, over mu or nu, is the half-step's softmax, kept
-    or redone. The log-domain start's row half is taped as epoch 0 with
-    F = f and G = 0 (a redone half-step whose kernel no state holds);
-    its column half is the first absorbed state.
+    or redone. In log-domain mode the empty kernel of epoch 0 holds no
+    half-step: the first row half is redone, so the first record is of
+    epoch 1.
     """
 
     def __init__(self, *args):
@@ -862,7 +851,7 @@ class _Taped(_Rule):
         self.tape = []
 
     def step(self) -> None:
-        # ``before`` is the row half's record (the start's, in epoch 0).
+        # ``before`` is the row half's record.
         _Rule.step(self)
         self.tape += self.before, (self.absorptions, self.F, self.G, self.u, self.v)
 
@@ -888,7 +877,9 @@ class _Taped(_Rule):
         cols = np.empty((n, len(tape)))
         end = len(tape)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            df, dg, dkernel = self.plan_vjp(plan, dplan)
+            # plan = exp(kernel + f + g): one product serves all three adjoints.
+            dkernel = dplan * plan
+            df, dg = dkernel.sum(axis=1), dkernel.sum(axis=0)
             for k in range(len(tape) - 1, -1, -1):
                 epoch, F, G, u, v = tape[k]
                 if epoch != held:
@@ -921,7 +912,7 @@ class _Taped(_Rule):
                     # The row half overwrites f: df is zero.
                     df = 0.0
             dkernel += _rank_sum(rows[:, :end], cols[:, :end], kernel)
-            return self.cost_vjp(dkernel)
+            return dkernel * (-1.0 / self.lam)
 
 
 def _rank_sum(rows: np.ndarray, cols: np.ndarray, kernel: np.ndarray) -> np.ndarray:

@@ -11,7 +11,8 @@ def rng():
 
 @pytest.fixture
 def absorptions(monkeypatch):
-    """Records each absorption of the Sinkhorn rule; the log-domain start is one.
+    """Records each absorption of the Sinkhorn rule. A log-domain solve's
+    first row half is one, and its first column half another if redone.
 
     Each entry is the absorbing problem's -cost/lam array, which tells
     the problems of a batch apart.
@@ -73,6 +74,52 @@ def stackless(monkeypatch):
 
     monkeypatch.setattr(ot._Batch, "_matvec", recording)
     return held
+
+
+@pytest.fixture
+def zeroed_row(monkeypatch):
+    """Breaks one kernel rebuild mid-solve, to drive the redo path.
+
+    ``zeroed_row(shape, at)`` arms it: the ``at``-th column half-step
+    redone on a problem of ``shape`` absorbs as usual, and then row 0 of
+    the kernel it built is zeroed. The next row product is zero there, so
+    that scaling is infinite and the row half must be redone in
+    log-sum-exp form, from the potentials alone. Returns a list that
+    gets one True when that row half is redone.
+    """
+    redo_col, redo_row = ot._Rule._redo_col, ot._Rule._redo_row
+    armed, redone = {}, []
+
+    def zeroing(rule):
+        redo_col(rule)
+        if rule.kernel.shape != armed["shape"]:
+            return
+        armed["count"] += 1
+        if armed["count"] == armed["at"]:
+            armed["F"] = rule.F.copy()
+            if rule.pattern is None:
+                rule.work[0] = 0.0
+            else:
+                rows, _, data = rule.pattern
+                data[rows == 0] = 0.0
+
+    def watched(rule):
+        # F changes only at an absorption, so the zeroed kernel is still
+        # the problem's while its F is the one that absorption left.
+        if "F" in armed and np.array_equal(rule.F, armed["F"]):
+            redone.append(True)
+            del armed["F"]
+        redo_row(rule)
+
+    def arm(shape, at):
+        armed.clear()
+        armed.update(shape=shape, at=at, count=0)
+        redone.clear()
+        monkeypatch.setattr(ot._Rule, "_redo_col", zeroing)
+        monkeypatch.setattr(ot._Rule, "_redo_row", watched)
+        return redone
+
+    return arm
 
 
 def make_set(features, labels, classes=None, name="t"):

@@ -253,6 +253,22 @@ class TestRank:
         assert result.exit_code == 2
         assert "broken.ftrs" in result.output
 
+    def test_failing_source_exit_2_names_file(self, runner, tmp_path, rng):
+        # A source of another feature dimension reads fine and fails only
+        # when it is scored; the error names it, and the exit code stays 2.
+        tgt_path = tmp_path / "t.ftrs"
+        write_feature_file(well_separated_set(rng, n=8, d=3, classes=2), tgt_path)
+        sources = tmp_path / "zoo"
+        sources.mkdir()
+        for name in ("a", "c"):
+            write_feature_file(well_separated_set(rng, n=8, d=3, classes=2), sources / f"{name}.ftrs")
+        write_feature_file(well_separated_set(rng, n=8, d=4, classes=2), sources / "wide.ftrs")
+        result = invoke(runner, "rank", "--target", tgt_path, "--sources", sources)
+        assert result.exit_code == 2 and result.stdout == ""
+        assert result.stderr.strip() == (
+            f"error: {sources / 'wide.ftrs'}: feature dimensions differ: 4 vs 3"
+        )
+
 
 class TestCorr:
     def _write(self, tmp_path, rows, header=True):

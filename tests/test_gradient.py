@@ -146,7 +146,8 @@ class TestValueAndGrad:
         reference = f_otce(
             make_set(xs, ys, classes=3), make_set(xt, yt, classes=3), MetricConfig(sinkhorn=solver)
         ).value
-        assert kernel_forms == ["sparse", "sparse"]
+        # Each forward rebuilds its kernel twice, at both halves of its first step.
+        assert kernel_forms == ["sparse"] * 4
         assert value == reference
         cost = squared_euclidean_cost(xs, xt)
         plan, _ = unrolled_sinkhorn(cost, solver, k)
@@ -242,16 +243,19 @@ def log_sum_exp_walk(cost, config, iterations, dplan):
         cost, uniform_marginal(m), uniform_marginal(n), config.lam, absorb=config.log_domain
     )
     fs, gs = [], [rule.G]
-    for _ in range(iterations):
-        rule.step()
-        fs.append(rule.F + np.log(rule.u))
-        gs.append(rule.G + np.log(rule.v))
+    # The steps' error state: a log-domain start divides by zero.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(iterations):
+            rule.step()
+            fs.append(rule.F + np.log(rule.u))
+            gs.append(rule.G + np.log(rule.v))
     plan = rule.plan()
 
     def soft(shift):
         return np.exp(np.maximum(rule.kernel + shift, ot._EXP_CLAMP))
 
-    df, dg, dkernel = rule.plan_vjp(plan, dplan)
+    dkernel = dplan * plan
+    df, dg = dkernel.sum(axis=1), dkernel.sum(axis=0)
     for t in range(iterations - 1, -1, -1):
         # d g / d (kernel + f) is minus the column softmax at this step.
         col = soft(fs[t][:, None] - (rule.log_nu - gs[t + 1])[None, :])
@@ -262,7 +266,7 @@ def log_sum_exp_walk(cost, config, iterations, dplan):
         dkernel -= row * df[:, None]
         dg = -np.einsum("ij,i->j", row, df)
         df = np.zeros(m)
-    return plan, rule.cost_vjp(dkernel)
+    return plan, dkernel * (-1.0 / config.lam)
 
 
 class TestUnrolledReverse:
@@ -295,13 +299,14 @@ class TestUnrolledReverse:
         rules = []
         monkeypatch.setattr(ot._Taped, "plan", lambda rule: rules.append(rule) or ot._Rule.plan(rule))
         plan, pullback = unrolled_sinkhorn(cost, config, 40)
-        # Whether each half-step of the forward after the log-domain start
-        # was redone: it absorbed, so the absorption count it tapes moved on.
-        start = int(log_domain)
+        # Whether each half-step of the forward was redone: it absorbed, so
+        # the absorption count it tapes moved on. A log-domain rule starts
+        # on the empty kernel, so its first row half is redone; the mixes
+        # are counted over the steps after the first.
         epochs = [0] + [record[0] for record in rules[0].tape]
-        redone = [after != before for before, after in zip(epochs, epochs[1:])][2 * start:]
-        assert len(redone) == 2 * (40 - start)
-        steps = set(zip(redone[::2], redone[1::2]))
+        redone = [after != before for before, after in zip(epochs, epochs[1:])]
+        assert len(redone) == 2 * 40 and redone[0] == log_domain
+        steps = set(zip(redone[2::2], redone[3::2]))
 
         builds = []
 
@@ -316,9 +321,32 @@ class TestUnrolledReverse:
         assert np.abs(dcost - reference).max() <= 1e-12 * np.abs(reference).max()
         assert patterns <= steps
         assert log_domain or not any(redone)
-        # Every epoch but the last is rebuilt once: one per absorption,
-        # the start's included, and none in plain scaling.
-        assert len(builds) == start + sum(redone)
+        # Every epoch but the last is rebuilt once: one per absorption
+        # after the first, and none in plain scaling.
+        assert len(builds) == sum(redone[1:])
+
+    def test_forced_redo_matches_log_sum_exp_walk(self, monkeypatch, zeroed_row):
+        # A row half redone on a zeroed rebuild (see the zeroed_row fixture)
+        # is walked back like any redone one, on its epoch's kernel built
+        # anew, intact. The forward still equals the solver's to the bit.
+        # On the instance above, a keep range narrowed to [e^-5, e^5] at
+        # lam = 0.05 has 9 of the 80 half-steps redone, spread over the run.
+        monkeypatch.setattr(ot, "_SCALING_LO", np.exp(-5.0))
+        monkeypatch.setattr(ot, "_SCALING_HI", np.exp(5.0))
+        rng = np.random.default_rng(0)
+        cost = squared_euclidean_cost(rng.normal(size=(30, 2)), rng.normal(size=(12, 2)))
+        dplan = rng.normal(size=cost.shape)
+        config = SinkhornConfig(lam=0.05, max_iterations=40, marginal_tolerance=1e-300)
+        reference_plan, reference = log_sum_exp_walk(cost, config, 40, dplan)
+        redone = zeroed_row(cost.shape, 3)
+        plan, pullback = unrolled_sinkhorn(cost, config, 40)
+        dcost = pullback(dplan)
+        assert redone == [True]
+        assert np.abs(plan - reference_plan).max() <= 1e-15
+        assert np.abs(dcost - reference).max() <= 1e-12 * np.abs(reference).max()
+        redone = zeroed_row(cost.shape, 3)
+        solved = ot.sinkhorn(cost, uniform_marginal(30), uniform_marginal(12), config)
+        assert redone == [True] and plan.tobytes() == solved.coupling.values.tobytes()
 
     # At lam = 0.01 the log-domain reverse rebuilds earlier epochs' kernels.
     @pytest.mark.parametrize("log_domain, lam", [(True, 0.01), (False, 0.5)])

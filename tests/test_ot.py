@@ -37,6 +37,14 @@ def kernel_of(rule):
     return kernel
 
 
+def step(rule, count=1):
+    """``count`` steps of ``rule`` in the steps' error state (see the
+    ``ot`` module docstring): a log-domain start divides by zero."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(count):
+            rule.step()
+
+
 def lse_sinkhorn_plan(cost, lam, iterations):
     """Reference: plain log-sum-exp Sinkhorn on uniform marginals from g = 0."""
     m, n = cost.shape
@@ -247,11 +255,52 @@ class TestSinkhorn:
         for count in (2.5, 3.0, True, "3", None):
             with pytest.raises(ValueError, match="max_iterations must be an integer"):
                 SinkhornConfig(max_iterations=count)
+        # (np.eye(3) meets even this tolerance exactly at the second step.)
         config = SinkhornConfig(max_iterations=np.int64(3), marginal_tolerance=1e-300)
-        assert sinkhorn(np.eye(3), uniform_marginal(3), uniform_marginal(3), config).iterations == 3
+        cost = np.diag([1.0, 2.0, 3.0])
+        assert sinkhorn(cost, uniform_marginal(3), uniform_marginal(3), config).iterations == 3
         for tolerance in (0.0, np.inf, np.nan):
             with pytest.raises(ValueError):
                 SinkhornConfig(marginal_tolerance=tolerance)
+
+
+class TestRedoPath:
+    # A scaling that is not finite mid-solve, after several absorptions,
+    # has its half-step redone in log-sum-exp form: the zeroed_row fixture
+    # forces one. At lam = 1e-3 the potentials of these costs leave the
+    # absorption range at 4 to 8 of the first half-steps.
+    CONFIG = SinkhornConfig(lam=1e-3, max_iterations=300, marginal_tolerance=1e-300)
+
+    @staticmethod
+    def costs():
+        rng = np.random.default_rng(0)
+        return [
+            squared_euclidean_cost(rng.normal(size=(m, 2)), rng.normal(size=(n, 2)))
+            for m, n in ((20, 12), (24, 12), (20, 15))
+        ]
+
+    def test_sinkhorn(self, zeroed_row):
+        cost = self.costs()[2]
+        redone = zeroed_row(cost.shape, 2)
+        result = solo(cost, self.CONFIG)
+        assert redone == [True] and result.iterations == 300
+        reference = lse_sinkhorn_plan(cost, self.CONFIG.lam, 300)
+        assert np.abs(result.coupling.values - reference).max() <= 1e-12
+
+    def test_batched_one_problem_redone(self, zeroed_row):
+        # The last problem is redone while the others step on with their
+        # bits unchanged.
+        costs = self.costs()
+        assert ot._batches([cost.shape for cost in costs]) == [[0, 1, 2]]
+        unforced = ot.batched_sinkhorn(costs, self.CONFIG)
+        redone = zeroed_row(costs[2].shape, 2)
+        batch = ot.batched_sinkhorn(costs, self.CONFIG)
+        assert redone == [True] and batch.iterations.tolist() == [300] * 3
+        for k in (0, 1):
+            assert batch.transport_cost[k].hex() == unforced.transport_cost[k].hex()
+        for k, cost in enumerate(costs):
+            reference = transport_cost(lse_sinkhorn_plan(cost, self.CONFIG.lam, 300), cost)
+            assert batch.transport_cost[k] == pytest.approx(reference, rel=1e-12, abs=0)
 
 
 class TestKernelRebuild:
@@ -269,7 +318,7 @@ class TestKernelRebuild:
         rng = np.random.default_rng(3)
         cost = squared_euclidean_cost(rng.normal(size=(m, 8)), rng.normal(size=(n, 8)))
         rule = ot._Rule.on(cost, uniform_marginal(m), uniform_marginal(n), lam, absorb=True)
-        rule.step()  # the log-sum-exp start absorbs F and G and builds the kernel
+        step(rule)  # the first row half is redone, absorbed and builds the kernel
         floor = ot._floor(rule.log_mu, rule.log_nu)
         above = rule.kernel + rule.F[:, None] + rule.G[None, :] > floor
         assert (above.mean() > ot._SPARSE_SHARE) == dense
@@ -319,7 +368,7 @@ class TestSparseKernel:
         cost = clustered_cost(noise)
         m, n = cost.shape
         rule = ot._Rule.on(cost, uniform_marginal(m), uniform_marginal(n), 0.1, absorb=True)
-        rule.step()
+        step(rule)
         assert np.count_nonzero(kernel_of(rule)) <= 0.03 * rule.work.size
         results, counts = [], []
         for share, form in ((0.0, "dense"), (1.0, "sparse")):
@@ -359,8 +408,7 @@ class TestSparseKernel:
         cost = clustered_cost(3.0)
         m, n = cost.shape
         rule = ot._Rule.on(cost, uniform_marginal(m), uniform_marginal(n), 0.1, absorb=True)
-        for _ in range(50):
-            rule.step()
+        step(rule, 50)
         assert rule.pattern is not None
         kernel = kernel_of(rule)
         dense = np.einsum(rule._KTU, kernel, rule.u)
@@ -370,8 +418,7 @@ class TestSparseKernel:
         # The plan scatters the dense form's products from the pattern.
         cost = class_cost()
         rule = ot._Rule.on(cost, uniform_marginal(300), uniform_marginal(300), 0.1, absorb=True)
-        for _ in range(50):
-            rule.step()
+        step(rule, 50)
         assert rule.pattern is not None
         dense = kernel_of(rule) * rule.u[:, None] * rule.v[None, :]
         assert rule.plan().tobytes() == dense.tobytes()
@@ -411,10 +458,11 @@ class TestSparseBatch:
         # Every problem runs to the cap, rebuilding its kernel many times.
         assert batch.iterations.tolist() == [300] * 4
         assert len(kernel_forms) >= 4 * 8 and set(kernel_forms) == {"sparse"}
-        # Each step after the log-sum-exp start runs one matvec pair, and
-        # no dense stack is held while the stack steps sparse.
-        assert len(batch_forms) == 2 * 299 and set(batch_forms) == {"sparse"}
-        assert stackless == [True] * 2 * 299
+        # Each step runs one matvec pair, the first row product over the
+        # empty kernel, and no dense stack is held while the stack steps
+        # sparse.
+        assert len(batch_forms) == 2 * 300 and set(batch_forms) == {"sparse"}
+        assert stackless == [True] * 2 * 300
 
     def test_problems_stopping_mid_run(self, batch_forms, stackless):
         # Two blocks of tight clusters, cut along cluster bounds, converge,
@@ -475,7 +523,8 @@ class TestSparseBatch:
         batch = ot.batched_sinkhorn(blocks, config)
         stop = batch.iterations[3]
         assert batch.converged.tolist() == [False, False, False, True] and stop < 280
-        assert batch_forms == ["dense"] * 2 * (stop - 1) + ["sparse"] * 2 * (300 - stop)
+        # The first row product runs over the empty kernel, sparse.
+        assert batch_forms == ["sparse"] + ["dense"] * (2 * stop - 1) + ["sparse"] * 2 * (300 - stop)
         assert "sparse" in kernel_forms and "dense" in kernel_forms
         reference = [solo(block, config) for block in blocks]
         assert batch.iterations.tolist() == [result.iterations for result in reference]
@@ -574,8 +623,7 @@ class TestKernelFloor:
         cost = clustered_cost(3.0)
         m, n = cost.shape
         rule = ot._Rule.on(cost, uniform_marginal(m), uniform_marginal(n), 0.1, absorb=True)
-        for _ in range(200):
-            rule.step()
+        step(rule, 200)
         exponent = rule.kernel + rule.F[:, None] + rule.G[None, :]
         # The floor has dropped entries the clamp would keep, and the
         # scalings are near the edge of their range.
