@@ -106,15 +106,23 @@ def _class_counts(ys, yt, shape, source_classes=None, target_classes=None) -> tu
 
 
 def _aggregate_joint(
-    plan: np.ndarray, ys: np.ndarray, yt: np.ndarray, cs: int, ct: int
+    plan: np.ndarray, ys: np.ndarray, yt: np.ndarray, cs: int, ct: int, support=None
 ) -> np.ndarray:
     """The (cs, ct) sums of the plan's entries per (ys, yt) label pair.
 
     One sequential ``np.bincount`` over the entries in row-major order,
     not a BLAS product, so its bits do not depend on the thread count.
+    Given a ``support`` (rows, cols), row-major, outside which the plan is
+    zero, it runs over those entries alone: the zeros it skips add
+    nothing, and the rest come in the same order, so the bits are the same.
     """
-    cells = (ys.astype(np.intp) * ct)[:, None] + yt.astype(np.intp)
-    return np.bincount(cells.ravel(), weights=plan.ravel(), minlength=cs * ct).reshape(cs, ct)
+    ys, yt = ys.astype(np.intp), yt.astype(np.intp)
+    if support is None:
+        cells, weights = ((ys * ct)[:, None] + yt).ravel(), plan.ravel()
+    else:
+        rows, cols = support
+        cells, weights = ys[rows] * ct + yt[cols], plan[rows, cols]
+    return np.bincount(cells, weights=weights, minlength=cs * ct).reshape(cs, ct)
 
 
 def negative_conditional_entropy(joint: np.ndarray) -> float:
@@ -173,7 +181,8 @@ def _score_from_cost(
         cost, uniform_marginal(src.n), uniform_marginal(tgt.n), config.sinkhorn
     )
     joint = _aggregate_joint(
-        result.coupling.values, src.labels, tgt.labels, src.class_count, tgt.class_count
+        result.coupling.values, src.labels, tgt.labels, src.class_count, tgt.class_count,
+        result._support,
     )
     return TransferabilityScore(
         metric_id=metric_id,

@@ -5,17 +5,20 @@ The solver minimizes ``sum(c * pi) - lam * H(pi)`` with
 It iterates the scaling updates ``u = mu / (K v)``, ``v = nu / (K^T u)``
 on a kernel ``K = exp(-c/lam + F + G)``. By default (``log_domain``) the
 iteration is stabilized: whenever a scaling leaves ``[e^-_ABSORB,
-e^_ABSORB]`` or is not finite, that half-update is redone in log-sum-exp
-form and absorbed into the log potentials F and G, and the kernel is
-rebuilt (Schmitzer 2019, "Stabilized sparse scaling algorithms for
-entropy regularized transport"). The iteration starts on an empty
-kernel, so its first row half is such a redone half-step; nothing else
-is special about the start. Plain scaling (``log_domain=False``) starts
-on ``exp(-c/lam)``, never absorbs, keeps F = G = 0, and raises
-:class:`NumericalOverflow` when ``exp(-c/lam)`` degenerates; it is kept
-for cross-checking. A rebuilt kernel is exactly
+e^_ABSORB]``, it is absorbed into the log potentials F and G and the
+kernel is rebuilt (Schmitzer 2019, "Stabilized sparse scaling algorithms
+for entropy regularized transport", Alg. 2). A finite, positive scaling
+up to e^(_ABSORB + _MARGIN / 2) is folded in as it stands; only one that
+is not finite, zero or past that bound has its half-update redone in
+log-sum-exp form first. That is rare: the iteration starts on an empty
+kernel, so its first row half is such a redone half-step, and in
+practice the start's one or two are the only ones. Plain scaling
+(``log_domain=False``) starts on ``exp(-c/lam)``, never absorbs, keeps
+F = G = 0, and raises :class:`NumericalOverflow` when ``exp(-c/lam)``
+degenerates; it is kept for cross-checking. A rebuilt kernel is exactly
 zero below a floor (:func:`_floor`) at which the dropped entries change
-no kept scaling update by more than 2^-53 e^-20 of itself, so in
+no kept scaling update by more than 2^-53 e^-20 of itself, and no folded
+one by more than 2^-53 e^-10, so in
 practice values are unchanged to the bit; when few entries are left
 nonzero, the iteration steps over those alone (Schmitzer's sparse
 truncated kernel), in 2-D and, while every problem of a batch holds its
@@ -29,8 +32,8 @@ one, or :func:`batched_sinkhorn`'s many small ones (jc-otce's class
 pairs) as padded stacks of problems of similar shape, with the same rule
 applied per problem wherever problems differ. :func:`unrolled_sinkhorn`
 replays exactly K of the same steps for the differentiable path in
-:mod:`otce.gradient` and walks them backwards, every half-step, kept or
-redone, as matvecs on its epoch's kernel (the kernel between two
+:mod:`otce.gradient` and walks them backwards, every half-step, kept,
+folded or redone, as matvecs on its epoch's kernel (the kernel between two
 absorptions, rebuilt once per epoch), with no exp per step.
 
 The solvers and the unrolled reverse use no BLAS call: every product is
@@ -211,12 +214,13 @@ def _check_cost(cost) -> np.ndarray:
 #
 # The Sinkhorn iteration alternates a row potential f and a column
 # potential g, starting from g = 0. _Rule computes each half-update as a
-# kernel matvec, and in log-sum-exp form to absorb. The solver and the
-# unrolled gradient both drive _Rule.step, so their ops match bit for
-# bit. The reverse has one form (_Taped.pullback): a
-# half-step's softmax is its epoch's kernel times u v^T, over mu or nu.
-# A redone half-step opens its epoch with u = v = 1, so the kernel its
-# absorption builds is its softmax, and it is pulled back by the same
+# kernel matvec, and in log-sum-exp form where an absorption cannot take
+# its scaling as it stands. The solver and the unrolled gradient both
+# drive _Rule.step, so their ops match bit for bit. The reverse has one
+# form (_Taped.pullback): a half-step's softmax is its epoch's kernel
+# times u v^T, over mu or nu. An absorbed half-step, folded or redone,
+# opens its epoch with u = v = 1, so the kernel its absorption builds is
+# its softmax (to rounding, if folded), and it is pulled back by the same
 # matvecs as a kept one.
 
 # Scalings outside [e^-_ABSORB, e^_ABSORB] are absorbed into the log
@@ -225,11 +229,19 @@ _ABSORB = 60.0
 _SCALING_LO = float(np.exp(-_ABSORB))
 _SCALING_HI = float(np.exp(_ABSORB))
 
+# A rebuilt kernel's floor holds the error of a kept half-step e^_MARGIN
+# below the unit roundoff (see _floor). A fresh scaling that is finite,
+# positive and at most e^(_ABSORB + _MARGIN / 2) spends no more than half
+# that margin, so it is folded into the potentials as it stands; any
+# other is redone in log-sum-exp form.
+_MARGIN = 20.0
+_FOLD_HI = float(np.exp(_ABSORB + _MARGIN / 2.0))
+
 
 # The kernel a log-domain rule starts on: a pattern with no entries,
 # read-only, as every rule shares it. Its first row scalings are infinite,
 # so the first row half is redone in log-sum-exp form and absorbed, as
-# any scaling out of range is.
+# any scaling that cannot be folded is.
 _EMPTY = tuple(np.broadcast_to(dtype(0), (0,)) for dtype in (np.intp, np.intp, np.float64))
 
 
@@ -240,11 +252,22 @@ def _floor(log_mu: np.ndarray, log_nu: np.ndarray) -> float:
     A kept row half has (K v)_i = mu_i / u_i >= mu_i e^-_ABSORB and every
     v_j <= e^_ABSORB, so the kernel entries below tau change it by at most
     n tau e^(2 _ABSORB) / mu_i of itself; the column half likewise, with
-    m and nu. This tau holds that below 2^-53 e^-20: the unit roundoff,
-    with a margin of e^20.
+    m and nu. This tau holds that below 2^-53 e^-_MARGIN: the unit
+    roundoff, with a margin of e^_MARGIN (e^20). A folded half-step has
+    u_i up to e^(_ABSORB + delta), delta = _MARGIN / 2, so it is off by at
+    most 2^-53 e^(delta - _MARGIN) = 2^-53 e^-10 of itself; below the
+    range, (K v)_i is only larger and the bound only smaller.
     """
     spread = max(math.log(log_nu.size) - log_mu.min(), math.log(log_mu.size) - log_nu.min())
-    return max(_EXP_CLAMP, -(2.0 * _ABSORB + 53.0 * math.log(2.0) + 20.0 + float(spread)))
+    return max(_EXP_CLAMP, -(2.0 * _ABSORB + 53.0 * math.log(2.0) + _MARGIN + float(spread)))
+
+
+def _foldable(scaling: np.ndarray) -> bool:
+    """Whether a fresh 1-D scaling outside the range is folded into the
+    potentials as it stands: all of it finite, positive and at most
+    _FOLD_HI, where the floor still certifies its half-step (see
+    :func:`_floor`). NaN fails both comparisons."""
+    return 0.0 < scaling.min() and scaling.max() <= _FOLD_HI
 
 
 def _in_range(scaling: np.ndarray, axis=None):
@@ -265,14 +288,18 @@ class _Rule:
 
     F and G are absorbed log potentials; the effective potentials are
     f = F + log u and g = G + log v. With ``absorb`` (log-domain mode) a
-    fresh scaling that is not finite or leaves [e^-_ABSORB, e^_ABSORB]
-    is dropped: its half-update is redone in log-sum-exp form from the
-    effective potentials (with ``work`` as its workspace), folded into F
-    and G, u and v reset to 1 and K rebuilt, exactly zero below a floor (see
-    :func:`_floor`). Every half-update is thus the exact Sinkhorn step,
-    to the bit in practice. Such a rule starts on the empty kernel
-    (:meth:`on`), whose first row scalings are infinite, so that is how
-    K is first built. Without ``absorb`` (plain scaling) F = G = 0, the
+    fresh scaling that leaves [e^-_ABSORB, e^_ABSORB] is absorbed: the
+    effective potentials become F and G, u and v are reset to 1 and K is
+    rebuilt, exactly zero below a floor (see :func:`_floor`). A scaling
+    that is finite, positive and at most e^(_ABSORB + _MARGIN / 2) is
+    folded in as it stands (:func:`_foldable`); the floor still
+    certifies its half-update. Any other is dropped and its half-update
+    redone in log-sum-exp form from the effective potentials (with
+    ``work`` as its workspace). Every half-update is thus the exact
+    Sinkhorn step, to the bit in practice. Such a rule starts on the
+    empty kernel (:meth:`on`), whose first row scalings are infinite, so
+    a redone half-step is how K is first built; after the start, a redo
+    is rare. Without ``absorb`` (plain scaling) F = G = 0, the
     kernel exp(-cost/lam) is unclamped, so honest underflow to zero shows
     up in the finite check of each half-update, which raises
     NumericalOverflow.
@@ -366,28 +393,29 @@ class _Rule:
         return np.bincount(into, weights=weights, minlength=math.prod(shape)).reshape(shape)
 
     def _take_u(self, u: np.ndarray) -> None:
-        """Take a fresh u outside the range (see :meth:`_redoes`)."""
-        if self._redoes(u):
-            self._redo_row()
-        else:
-            self.u = u
+        """Take a fresh u outside the range (see :meth:`_absorbs`)."""
+        self.u = u
+        if self._absorbs(u):
+            self._absorb_row()
 
     def _take_v(self, v: np.ndarray) -> None:
-        """Take a fresh v outside the range (see :meth:`_redoes`)."""
-        if self._redoes(v):
-            self._redo_col()
-        else:
-            self.v = v
+        """Take a fresh v outside the range (see :meth:`_absorbs`)."""
+        self.v = v
+        if self._absorbs(v):
+            self._absorb_col()
 
-    def _redo_row(self) -> None:
-        """The row half-update in log-sum-exp form, absorbed."""
+    def _absorb_row(self) -> None:
+        """Absorb the row half-update whose fresh u is in place: u folded
+        into F as it stands if :func:`_foldable`, else the half-update
+        redone in log-sum-exp form."""
         g = self.G + np.log(self.v)
-        self._absorb(self.lse(g, 0), g)
+        self._absorb(self.F + np.log(self.u) if _foldable(self.u) else self.lse(g, 0), g)
 
-    def _redo_col(self) -> None:
-        """The column half-update in log-sum-exp form, absorbed."""
+    def _absorb_col(self) -> None:
+        """Absorb the column half-update whose fresh v is in place, as
+        :meth:`_absorb_row` does the row half."""
         f = self.F + np.log(self.u)
-        self._absorb(f, self.lse(f, 1))
+        self._absorb(f, self.G + np.log(self.v) if _foldable(self.v) else self.lse(f, 1))
 
     def estimate(self, G: np.ndarray, v: np.ndarray):
         """Cheap column violation of the plan before the last column update,
@@ -422,10 +450,10 @@ class _Rule:
         plan[rows, cols] = data * self.u[rows] * self.v[cols]
         return plan
 
-    def _redoes(self, scaling: np.ndarray) -> bool:
-        """Whether a fresh scaling outside the range has its half-update
-        redone: always in log-domain mode. Plain scaling keeps it if it is
-        finite and raises NumericalOverflow if not."""
+    def _absorbs(self, scaling: np.ndarray) -> bool:
+        """Whether a fresh scaling outside the range is absorbed into the
+        potentials: always in log-domain mode. Plain scaling keeps it if it
+        is finite and raises NumericalOverflow if not."""
         if self.absorb:
             return True
         if not np.isfinite(scaling).all():
@@ -497,8 +525,9 @@ class _Batch(_Rule):
     :meth:`_take_u` and :meth:`_take_v`. Whatever differs between
     problems runs per problem, through _Rule's own methods on a 2-D view
     of it (:meth:`problem`): the absorption of a scaling that leaves
-    range (the first row half of each, in log-domain mode), the log-form
-    estimate after an absorption, and the plan.
+    range (:meth:`_absorb_one`; folded, or redone for the first row half
+    of each in log-domain mode and, rarely, after it), the log-form
+    estimate after a column absorption, and the plan.
 
     While every problem holds a pattern (``parts``: its last rebuild's,
     or the empty kernel's at a log-domain start), the matvecs are one
@@ -551,7 +580,7 @@ class _Batch(_Rule):
         """Problem k as a 2-D _Rule on its kernel, its pattern and views into the stacks.
 
         The views share memory with the stacks except where a method
-        assigns a new array (an absorption); :meth:`_redo` copies those back.
+        assigns a new array (an absorption); :meth:`_absorb_one` copies those back.
         """
         m, n = self.shapes[k]
         rule = _Rule(
@@ -562,8 +591,12 @@ class _Batch(_Rule):
         rule.pattern = self.parts[k]
         return rule
 
-    def _redo(self, k: int, half) -> None:
-        """Run ``half``, a log-sum-exp half-step that absorbs, on problem k.
+    def _absorb_one(self, k: int, half) -> None:
+        """Run ``half``, a half-step that absorbs (:meth:`_Rule._absorb_row`
+        or :meth:`_Rule._absorb_col`), on problem k, whose fresh scaling is
+        in place. It folds that scaling, or, for the start's first row half
+        and the rare scaling past the fold bound or not finite, redoes the
+        half-step in log-sum-exp form.
 
         It works in contiguous scratch rather than in the strided view of
         the stack, where the kernel rebuild takes about 1.5 times as long.
@@ -631,37 +664,37 @@ class _Batch(_Rule):
 
     def step(self) -> None:
         # (k, G, v before the column update) of each problem whose column
-        # half-step was redone in log-sum-exp form this step.
-        self.redone = []
+        # half-step absorbed this step.
+        self.absorbed = []
         _Rule.step(self)
 
     def _rejects(self, scaling: np.ndarray, pad: np.ndarray):
-        """Problems whose fresh scaling is outside the range and redone."""
+        """Problems whose fresh scaling is outside the range and absorbed."""
         # Padded entries are 0/0; at 1 they pass every test.
         scaling[pad] = 1.0
         # One test over the whole stack first; in scaling mode it raises
         # NumericalOverflow or passes, so only log-domain problems return.
-        if _in_range(scaling) or not self._redoes(scaling):
+        if _in_range(scaling) or not self._absorbs(scaling):
             return ()
         return np.flatnonzero(~_in_range(scaling, axis=-1))
 
     def _take_u(self, u: np.ndarray) -> None:
         self.u = u
         for k in self._rejects(u, self.pad_rows):
-            self._redo(k, _Rule._redo_row)
+            self._absorb_one(k, _Rule._absorb_row)
 
     def _take_v(self, v: np.ndarray) -> None:
         self.v = v
         _, _, G_before, _, v_before = self.before
         for k in self._rejects(v, self.pad_cols):
             n = self.shapes[k][1]
-            self.redone.append((k, G_before[k, :n].copy(), v_before[k, :n]))
-            self._redo(k, _Rule._redo_col)
+            self.absorbed.append((k, G_before[k, :n].copy(), v_before[k, :n]))
+            self._absorb_one(k, _Rule._absorb_col)
 
     def near(self, tol: float) -> np.ndarray:
         _, _, G, _, v = self.before
         estimates = _Rule.estimate(self, G, v)
-        for k, G, v in self.redone:
+        for k, G, v in self.absorbed:
             estimates[k] = self.problem(k).estimate(G, v)
         return np.flatnonzero(estimates <= tol)
 
@@ -738,22 +771,28 @@ def sinkhorn(
     nu = np.asarray(nu, dtype=np.float64)
     _check_marginals(cost, mu, nu)
 
-    # Held by the driver alone, the rule is freed before the result is
-    # scored, which allocates plan-sized temporaries of its own.
-    ((_, plan, iterations, error),) = _stops(
-        _Rule.on(cost, mu, nu, config.lam, absorb=config.log_domain), [0], config
-    )
+    rule = _Rule.on(cost, mu, nu, config.lam, absorb=config.log_domain)
+    ((_, plan, iterations, error),) = _stops(rule, [0], config)
+    support = None if rule.pattern is None else rule.pattern[:2]
+    # The rule is freed before the result is scored, which allocates
+    # plan-sized temporaries of its own.
+    del rule
     # The column update pins total mass to 1 up to float residue, so the
     # Coupling mass invariant holds without renormalizing (renormalizing
     # would break bit-equality with the unrolled gradient path).
     coupling = Coupling(values=plan, row_marginal=mu, col_marginal=nu)
-    return SinkhornResult(
+    result = SinkhornResult(
         coupling=coupling,
         iterations=iterations,
         final_marginal_error=error,
         converged=error <= config.marginal_tolerance,
         transport_cost=transport_cost(coupling, cost),
     )
+    # A private attribute, not a field: the rows and columns, row-major,
+    # outside which the plan is zero, while its final kernel held a
+    # pattern, else None. The metrics aggregate the plan over them alone.
+    object.__setattr__(result, "_support", support)
+    return result
 
 
 class BatchResult(NamedTuple):
@@ -840,10 +879,11 @@ class _Taped(_Rule):
     each half-step, 2K of them for K steps: a row half at each even
     index, a column half at each odd one. The epoch is the absorption
     count, so it names the kernel the record's F and G build; that
-    kernel times u v^T, over mu or nu, is the half-step's softmax, kept
-    or redone. In log-domain mode the empty kernel of epoch 0 holds no
-    half-step: the first row half is redone, so the first record is of
-    epoch 1.
+    kernel times u v^T, over mu or nu, is the half-step's softmax, kept,
+    folded (to rounding) or redone. In log-domain mode the empty kernel
+    of epoch 0 holds no half-step: the first row half is redone, so the
+    first record is of epoch 1. After the start a half-step is rarely
+    redone; the rest of the absorbed ones are folded.
     """
 
     def __init__(self, *args):

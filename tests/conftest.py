@@ -11,8 +11,9 @@ def rng():
 
 @pytest.fixture
 def absorptions(monkeypatch):
-    """Records each absorption of the Sinkhorn rule. A log-domain solve's
-    first row half is one, and its first column half another if redone.
+    """Records each absorption of the Sinkhorn rule, folded or redone. A
+    log-domain solve's first row half is one, and its first column half
+    another if out of range.
 
     Each entry is the absorbing problem's -cost/lam array, which tells
     the problems of a batch apart.
@@ -77,21 +78,37 @@ def stackless(monkeypatch):
 
 
 @pytest.fixture
+def redos(monkeypatch):
+    """Records each half-step of the Sinkhorn rule redone in log-sum-exp
+    form (a call of ``_Rule.lse``), as :func:`absorptions` records
+    absorptions: by the redoing problem's -cost/lam array."""
+    calls = []
+    lse = ot._Rule.lse
+
+    def counting(rule, potential, axis):
+        calls.append(rule.kernel)
+        return lse(rule, potential, axis)
+
+    monkeypatch.setattr(ot._Rule, "lse", counting)
+    return calls
+
+
+@pytest.fixture
 def zeroed_row(monkeypatch):
     """Breaks one kernel rebuild mid-solve, to drive the redo path.
 
     ``zeroed_row(shape, at)`` arms it: the ``at``-th column half-step
-    redone on a problem of ``shape`` absorbs as usual, and then row 0 of
-    the kernel it built is zeroed. The next row product is zero there, so
-    that scaling is infinite and the row half must be redone in
-    log-sum-exp form, from the potentials alone. Returns a list that
-    gets one True when that row half is redone.
+    absorbed on a problem of ``shape``, folded or redone, absorbs as
+    usual, and then row 0 of the kernel it built is zeroed. The next row
+    product is zero there, so that scaling is infinite and the row half
+    must be redone in log-sum-exp form, from the potentials alone.
+    Returns a list that gets one True when that row half is redone.
     """
-    redo_col, redo_row = ot._Rule._redo_col, ot._Rule._redo_row
+    absorb_col, lse = ot._Rule._absorb_col, ot._Rule.lse
     armed, redone = {}, []
 
     def zeroing(rule):
-        redo_col(rule)
+        absorb_col(rule)
         if rule.kernel.shape != armed["shape"]:
             return
         armed["count"] += 1
@@ -103,20 +120,20 @@ def zeroed_row(monkeypatch):
                 rows, _, data = rule.pattern
                 data[rows == 0] = 0.0
 
-    def watched(rule):
+    def watched(rule, potential, axis):
         # F changes only at an absorption, so the zeroed kernel is still
         # the problem's while its F is the one that absorption left.
-        if "F" in armed and np.array_equal(rule.F, armed["F"]):
+        if axis == 0 and "F" in armed and np.array_equal(rule.F, armed["F"]):
             redone.append(True)
             del armed["F"]
-        redo_row(rule)
+        return lse(rule, potential, axis)
 
     def arm(shape, at):
         armed.clear()
         armed.update(shape=shape, at=at, count=0)
         redone.clear()
-        monkeypatch.setattr(ot._Rule, "_redo_col", zeroing)
-        monkeypatch.setattr(ot._Rule, "_redo_row", watched)
+        monkeypatch.setattr(ot._Rule, "_absorb_col", zeroing)
+        monkeypatch.setattr(ot._Rule, "lse", watched)
         return redone
 
     return arm

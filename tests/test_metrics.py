@@ -22,7 +22,7 @@ from otce import (
 from otce import metrics, ot
 from otce.errors import DimensionMismatch, LabelOutOfRange, LengthMismatch
 
-from conftest import make_set, well_separated_set
+from conftest import clustered_pair, make_set, well_separated_set
 
 SHARP = MetricConfig(sinkhorn=SinkhornConfig(lam=1e-3, max_iterations=5000))
 
@@ -74,6 +74,24 @@ class TestJointLabelDistribution:
         yt = rng.integers(0, 3, size=5)
         joint = joint_label_distribution(plan, ys, yt, 2, 3)
         assert abs(joint.sum() - 1.0) < 1e-9
+
+    def test_support_gives_the_dense_bits(self):
+        # A solve whose final kernel holds a pattern hands its support to
+        # the metrics, which aggregate the plan over it alone: the same
+        # bits as over every entry. A dense kernel hands none.
+        xs, xt = clustered_pair(3.0)
+        labels = np.arange(xs.shape[0]) % 7
+        m = labels.size
+        result = sinkhorn(squared_euclidean_cost(xs, xt), uniform_marginal(m), uniform_marginal(m))
+        rows, cols = result._support
+        plan = result.coupling.values
+        assert rows.size < 0.05 * plan.size
+        assert np.count_nonzero(plan) == np.count_nonzero(plan[rows, cols])
+        dense = metrics._aggregate_joint(plan, labels, labels, 7, 7)
+        sparse = metrics._aggregate_joint(plan, labels, labels, 7, 7, result._support)
+        assert sparse.tobytes() == dense.tobytes()
+        cost = np.random.default_rng(0).uniform(size=(5, 6))
+        assert sinkhorn(cost, uniform_marginal(5), uniform_marginal(6))._support is None
 
 
 class TestNegativeConditionalEntropy:

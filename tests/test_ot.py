@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from otce import (
     GradConfig,
     SinkhornConfig,
     exact_ot_bruteforce,
+    f_otce,
     f_otce_value_and_grad,
     sinkhorn,
     squared_euclidean_cost,
@@ -18,7 +20,7 @@ from otce import ot
 from otce.ot import unrolled_sinkhorn
 from otce.errors import DimensionMismatch, NumericalOverflow, TooLarge
 
-from conftest import clustered_pair
+from conftest import clustered_pair, make_set
 
 
 def _lse(a, axis):
@@ -301,6 +303,105 @@ class TestRedoPath:
         for k, cost in enumerate(costs):
             reference = transport_cost(lse_sinkhorn_plan(cost, self.CONFIG.lam, 300), cost)
             assert batch.transport_cost[k] == pytest.approx(reference, rel=1e-12, abs=0)
+
+
+class TestFold:
+    # A fresh scaling out of range that is finite, positive and at most
+    # e^(_ABSORB + _MARGIN / 2) is folded into the potentials as it
+    # stands; any other has its half-step redone in log-sum-exp form. Only
+    # the start's are redone in practice.
+    CONFIG = TestRedoPath.CONFIG
+
+    def test_folding_solvers_match_log_sum_exp(self, absorptions, redos):
+        costs = TestRedoPath.costs()
+        for cost in costs:
+            absorptions.clear()
+            redos.clear()
+            result = solo(cost, self.CONFIG)
+            # The start's one or two redos, and folds after them.
+            assert len(redos) <= 2 < len(absorptions) - len(redos)
+            reference = lse_sinkhorn_plan(cost, self.CONFIG.lam, 300)
+            assert np.abs(result.coupling.values - reference).max() <= 1e-12
+            plan, _ = unrolled_sinkhorn(cost, self.CONFIG, 300)
+            assert plan.tobytes() == result.coupling.values.tobytes()
+        absorptions.clear()
+        redos.clear()
+        batch = ot.batched_sinkhorn(costs, self.CONFIG)
+        assert len(redos) <= 2 * 3 < len(absorptions) - len(redos)
+        for k, cost in enumerate(costs):
+            reference = transport_cost(lse_sinkhorn_plan(cost, self.CONFIG.lam, 300), cost)
+            assert batch.transport_cost[k] == pytest.approx(reference, rel=1e-12, abs=0)
+
+    # Each forced scaling sits in row (or column) 0 of an otherwise
+    # in-range fresh scaling: (its value, whether it is folded).
+    FORCED = [
+        pytest.param(lambda: ot._SCALING_HI * 2.0, True, id="above-range"),
+        pytest.param(lambda: ot._FOLD_HI, True, id="at-fold-bound"),
+        pytest.param(lambda: ot._SCALING_LO / 2.0, True, id="below-range"),
+        pytest.param(lambda: 1e-300, True, id="tiny"),
+        pytest.param(lambda: ot._FOLD_HI * 2.0, False, id="past-fold-bound"),
+        pytest.param(lambda: 0.0, False, id="zero"),
+        pytest.param(lambda: np.inf, False, id="inf"),
+        pytest.param(lambda: np.nan, False, id="nan"),
+    ]
+
+    @pytest.mark.parametrize("axis", [0, 1], ids=["row", "column"])
+    @pytest.mark.parametrize("value, folds", FORCED)
+    def test_forced_scaling(self, redos, axis, value, folds):
+        cost = TestRedoPath.costs()[2]
+        m, n = cost.shape
+        rule = ot._Rule.on(cost, uniform_marginal(m), uniform_marginal(n), 0.1, absorb=True)
+        step(rule)
+        F, G, u, v = rule.F, rule.G, rule.u, rule.v
+        fresh = np.ones(n if axis else m)
+        fresh[0] = value()
+        redos.clear()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            (rule._take_v if axis else rule._take_u)(fresh)
+        assert len(redos) == (not folds)
+        assert np.isfinite(rule.F).all() and np.isfinite(rule.G).all()
+        if folds:
+            if axis:
+                v = fresh
+            else:
+                u = fresh
+            assert rule.F.tobytes() == (F + np.log(u)).tobytes()
+            assert rule.G.tobytes() == (G + np.log(v)).tobytes()
+
+    @pytest.mark.parametrize("value, folds", FORCED)
+    def test_forced_scaling_batched(self, redos, value, folds):
+        # Only the forced problem absorbs, and it folds or redoes alone.
+        costs = TestRedoPath.costs()
+        batch = ot._Batch(costs, 0.1, absorb=True)
+        step(batch)
+        fresh = np.ones_like(batch.u)
+        fresh[2, 0] = value()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # Taken first: the absorption resets the fresh u to 1 in place.
+            folded = batch.F[2] + np.log(fresh[2])
+            redos.clear()
+            batch._take_u(fresh)
+        assert len(redos) == (not folds) and all(kernel is batch.kernels[2] for kernel in redos)
+        assert np.isfinite(batch.F).all()
+        if folds:
+            assert batch.F[2].tobytes() == folded.tobytes()
+
+    def test_redos_only_at_start(self, absorptions, redos):
+        # A guard against the dense redo coming back: f-otce on an
+        # absorbing clustered pair, and a batch of its blocks, redo only
+        # the start's half-steps while they absorb many times.
+        xs, xt = clustered_pair(3.0)
+        labels = np.arange(xs.shape[0]) % 10
+        f_otce(make_set(xs, labels), make_set(xt, labels))
+        assert len(redos) <= 2 and len(absorptions) >= 6
+        blocks = TestSparseBatch.blocks(squared_euclidean_cost(xs, xt))
+        absorptions.clear()
+        redos.clear()
+        ot.batched_sinkhorn(blocks, SinkhornConfig(lam=0.1, max_iterations=300))
+        # The blocks differ in shape, which tells their records apart.
+        assert len({block.shape for block in blocks}) == 4
+        assert max(Counter(kernel.shape for kernel in redos).values()) <= 2
+        assert min(Counter(kernel.shape for kernel in absorptions).values()) >= 4
 
 
 class TestKernelRebuild:
