@@ -242,14 +242,14 @@ def cmd_corr(pairs_path, method):
 
 def _read_pairs_csv(path: Path) -> list[ScoredPair]:
     out: list[ScoredPair] = []
-    for idx, row in _csv_rows(path):
+    for number, (idx, row) in enumerate(_csv_rows(path)):
         if len(row) != 3:
             raise NonNumericField(
                 f"{path}: row {idx} has {len(row)} fields, expected "
                 "task_id, score, accuracy"
             )
-        if idx == 0 and not _is_float(row[1]):
-            continue  # header line
+        if number == 0 and not _is_float(row[1]):
+            continue  # header line: the first non-blank row
         try:
             out.append(
                 ScoredPair(task_id=row[0], transferability=float(row[1]), accuracy=float(row[2]))
@@ -394,7 +394,7 @@ def cmd_synth(spec_path, out_dir):
 @main.command("convert")
 @click.option("--csv", "csv_path", required=True, help="Input CSV (label first column).")
 @click.option("--out", "out_path", required=True, help="Output FTRS file.")
-@click.option("--has-header", is_flag=True, help="Skip the first CSV line.")
+@click.option("--has-header", is_flag=True, help="Skip the first non-blank CSV line, a header.")
 @_cli_errors
 def cmd_convert(csv_path, out_path, has_header):
     """Convert a labeled CSV into an FTRS file."""

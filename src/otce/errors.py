@@ -63,7 +63,9 @@ class TooLarge(InputError):
 
 
 class NumericalOverflow(NumericalError):
-    """Plain-scaling Sinkhorn under/overflowed; retry with log_domain."""
+    """Sinkhorn under/overflowed: -cost/lam is not finite, as when lam is
+    too small for the cost (in either mode), or a plain-scaling update
+    under/overflowed (retry with log_domain)."""
 
 
 # -- rank evaluation -------------------------------------------------------

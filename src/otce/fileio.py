@@ -141,15 +141,17 @@ def read_csv(path: str | Path, has_header: bool = False) -> FeatureSet:
     """Load ``label, x_0, ..., x_{d-1}`` rows into a FeatureSet.
 
     The field count of the first data row fixes d; the class count is
-    max label + 1, so absent intermediate classes are permitted.
+    max label + 1, so absent intermediate classes are permitted. With
+    ``has_header``, the first non-blank row is a header and is skipped.
     """
     path = Path(path)
     labels: list[int] = []
     rows: list[list[float]] = []
     width: int | None = None
-    for idx, row in _csv_rows(path):
-        if has_header and idx == 0:
-            continue
+    lines = _csv_rows(path)
+    if has_header:
+        next(lines, None)
+    for _, row in lines:
         record = len(rows)
         if width is None:
             width = len(row)

@@ -108,9 +108,10 @@ def f_otce_value_and_grad(
             are empty, or the labels do not fit them.
         LabelOutOfRange: labels are not integers or are negative.
         NonFiniteValue: a feature is NaN or infinite.
-        NonFiniteGradient: the pipeline produced NaN/inf (plain-scaling
-            iterations with a lambda too small for the instance; retry
-            with log_domain=True).
+        NonFiniteGradient: the pipeline produced NaN/inf: -cost/lam
+            overflows (a lambda too small for the cost, in either mode), or
+            plain-scaling iterations under/overflowed (retry with
+            log_domain=True).
     """
     config = config or GradConfig()
     xs = np.asarray(xs, dtype=np.float64)

@@ -7,22 +7,17 @@ on a kernel ``K = exp(-c/lam + F + G)``. By default (``log_domain``) the
 iteration is stabilized: whenever a scaling leaves ``[e^-_ABSORB,
 e^_ABSORB]``, it is absorbed into the log potentials F and G and the
 kernel is rebuilt (Schmitzer 2019, "Stabilized sparse scaling algorithms
-for entropy regularized transport", Alg. 2). A finite, positive scaling
-up to e^(_ABSORB + _MARGIN / 2) is folded in as it stands; only one that
-is not finite, zero or past that bound has its half-update redone in
-log-sum-exp form first. That is rare: the iteration starts on an empty
-kernel, so its first row half is such a redone half-step, and in
-practice the start's one or two are the only ones. Plain scaling
-(``log_domain=False``) starts on ``exp(-c/lam)``, never absorbs, keeps
-F = G = 0, and raises :class:`NumericalOverflow` when ``exp(-c/lam)``
-degenerates; it is kept for cross-checking. A rebuilt kernel is exactly
-zero below a floor (:func:`_floor`) at which the dropped entries change
-no kept scaling update by more than 2^-53 e^-20 of itself, and no folded
-one by more than 2^-53 e^-10, so in
-practice values are unchanged to the bit; when few entries are left
-nonzero, the iteration steps over those alone (Schmitzer's sparse
-truncated kernel), in 2-D and, while every problem of a batch holds its
-nonzeros, over a batch's padded stack.
+for entropy regularized transport", Alg. 2): folded in as it stands where
+the fold rule of :func:`_floor` allows, else with its half-update redone
+in log-sum-exp form (see :class:`_Rule`, which also says how the
+iteration starts). Plain scaling (``log_domain=False``) starts on
+``exp(-c/lam)``, never absorbs, keeps F = G = 0, and raises
+:class:`NumericalOverflow` when ``exp(-c/lam)`` degenerates; it is kept
+for cross-checking. A rebuilt kernel is exactly zero below a floor
+(:func:`_floor`) that leaves every half-update unchanged to the bit in
+practice; when few entries are left nonzero, the iteration steps over
+those alone (Schmitzer's sparse truncated kernel), in 2-D and, while
+every problem of a batch holds its nonzeros, over a batch's padded stack.
 
 The rule is written once, here: its kernel, its row and column
 half-updates in scaling and in log-sum-exp form, the plan, the cheap
@@ -230,19 +225,31 @@ _SCALING_LO = float(np.exp(-_ABSORB))
 _SCALING_HI = float(np.exp(_ABSORB))
 
 # A rebuilt kernel's floor holds the error of a kept half-step e^_MARGIN
-# below the unit roundoff (see _floor). A fresh scaling that is finite,
-# positive and at most e^(_ABSORB + _MARGIN / 2) spends no more than half
-# that margin, so it is folded into the potentials as it stands; any
-# other is redone in log-sum-exp form.
+# below the unit roundoff, and a folded one spends half that margin (the
+# fold rule, see _floor).
 _MARGIN = 20.0
 _FOLD_HI = float(np.exp(_ABSORB + _MARGIN / 2.0))
 
 
-# The kernel a log-domain rule starts on: a pattern with no entries,
-# read-only, as every rule shares it. Its first row scalings are infinite,
-# so the first row half is redone in log-sum-exp form and absorbed, as
-# any scaling that cannot be folded is.
+# The kernel a log-domain rule starts on (see _Rule): a pattern with no
+# entries, read-only, as every rule shares it.
 _EMPTY = tuple(np.broadcast_to(dtype(0), (0,)) for dtype in (np.intp, np.intp, np.float64))
+
+
+def _neg_cost(cost: np.ndarray, lam: float, out: np.ndarray | None = None) -> np.ndarray:
+    """-cost/lam, the exponent of every kernel, written into ``out`` if given.
+
+    Raises:
+        NumericalOverflow: it is not finite: lam is so small that a
+            nonzero cost over it, or 1/lam itself, overflows.
+    """
+    # Python floats, which overflow without a warning. Rounding is
+    # monotone, so every product is finite if the one with the largest
+    # |cost| is; 0 * inf is NaN.
+    scale = -1.0 / float(lam)
+    if not math.isfinite(scale * float(max(cost.max(), -cost.min()))):
+        raise NumericalOverflow(f"-cost/lam overflows (lam={lam!r})")
+    return np.multiply(cost, scale, out=out)
 
 
 def _floor(log_mu: np.ndarray, log_nu: np.ndarray) -> float:
@@ -253,10 +260,15 @@ def _floor(log_mu: np.ndarray, log_nu: np.ndarray) -> float:
     v_j <= e^_ABSORB, so the kernel entries below tau change it by at most
     n tau e^(2 _ABSORB) / mu_i of itself; the column half likewise, with
     m and nu. This tau holds that below 2^-53 e^-_MARGIN: the unit
-    roundoff, with a margin of e^_MARGIN (e^20). A folded half-step has
-    u_i up to e^(_ABSORB + delta), delta = _MARGIN / 2, so it is off by at
-    most 2^-53 e^(delta - _MARGIN) = 2^-53 e^-10 of itself; below the
-    range, (K v)_i is only larger and the bound only smaller.
+    roundoff, with a margin of e^_MARGIN (e^20).
+
+    The fold rule: a fresh scaling outside the range that is finite,
+    positive and at most _FOLD_HI = e^(_ABSORB + delta), delta =
+    _MARGIN / 2, is folded into the potentials as it stands. Its
+    half-step has u_i up to e^(_ABSORB + delta), so it is off by at most
+    2^-53 e^(delta - _MARGIN) = 2^-53 e^-10 of itself; below the range,
+    (K v)_i is only larger and the bound only smaller. Any other scaling
+    has its half-step redone in log-sum-exp form.
     """
     spread = max(math.log(log_nu.size) - log_mu.min(), math.log(log_mu.size) - log_nu.min())
     return max(_EXP_CLAMP, -(2.0 * _ABSORB + 53.0 * math.log(2.0) + _MARGIN + float(spread)))
@@ -264,9 +276,8 @@ def _floor(log_mu: np.ndarray, log_nu: np.ndarray) -> float:
 
 def _foldable(scaling: np.ndarray) -> bool:
     """Whether a fresh 1-D scaling outside the range is folded into the
-    potentials as it stands: all of it finite, positive and at most
-    _FOLD_HI, where the floor still certifies its half-step (see
-    :func:`_floor`). NaN fails both comparisons."""
+    potentials as it stands, by the fold rule of :func:`_floor`. NaN
+    fails both comparisons."""
     return 0.0 < scaling.min() and scaling.max() <= _FOLD_HI
 
 
@@ -291,18 +302,21 @@ class _Rule:
     fresh scaling that leaves [e^-_ABSORB, e^_ABSORB] is absorbed: the
     effective potentials become F and G, u and v are reset to 1 and K is
     rebuilt, exactly zero below a floor (see :func:`_floor`). A scaling
-    that is finite, positive and at most e^(_ABSORB + _MARGIN / 2) is
-    folded in as it stands (:func:`_foldable`); the floor still
-    certifies its half-update. Any other is dropped and its half-update
-    redone in log-sum-exp form from the effective potentials (with
-    ``work`` as its workspace). Every half-update is thus the exact
-    Sinkhorn step, to the bit in practice. Such a rule starts on the
-    empty kernel (:meth:`on`), whose first row scalings are infinite, so
-    a redone half-step is how K is first built; after the start, a redo
-    is rare. Without ``absorb`` (plain scaling) F = G = 0, the
-    kernel exp(-cost/lam) is unclamped, so honest underflow to zero shows
-    up in the finite check of each half-update, which raises
+    that the fold rule of :func:`_floor` admits is folded in as it stands
+    (:func:`_foldable`). Any other is dropped and its half-update redone
+    in log-sum-exp form from the effective potentials (with ``work`` as
+    its workspace). Every half-update is thus the exact Sinkhorn step,
+    to the bit in practice. Without ``absorb`` (plain scaling) F = G = 0,
+    the kernel exp(-cost/lam) is unclamped, so honest underflow to zero
+    shows up in the finite check of each half-update, which raises
     NumericalOverflow.
+
+    The start: a log-domain rule starts on the empty kernel (``_EMPTY``,
+    set by :meth:`on`), whose first row scalings are infinite. So its
+    first row half is redone, and that absorption first builds K; its
+    first column half is redone too if some column keeps no entry above
+    the floor. After the start a redo is rare: in practice every later
+    absorption folds.
 
     ``work`` is K's dense store and the log-sum-exp form's workspace. The
     matvecs (einsums) and the plan read it, or, while an absorption has
@@ -337,9 +351,9 @@ class _Rule:
     @classmethod
     def on(cls, cost: np.ndarray, mu: np.ndarray, nu: np.ndarray, lam: float, absorb: bool):
         """The rule at the start of a solve on ``cost``: F = G = 0, u = v = 1,
-        on exp(-cost/lam) in plain scaling and on the empty kernel (_EMPTY)
-        in log-domain mode."""
-        kernel = cost * (-1.0 / lam)
+        on exp(-cost/lam) in plain scaling and on the empty kernel in
+        log-domain mode (see the class docstring)."""
+        kernel = _neg_cost(cost, lam)
         work = np.empty_like(kernel)
         if not absorb:
             np.exp(kernel, out=work)
@@ -361,7 +375,8 @@ class _Rule:
         caller holds (see the module docstring).
 
         ``before`` is left holding the state after the row half:
-        (absorptions, F, G, u, v).
+        (absorptions, F, G, u, v); ``fresh`` holds the column half's fresh
+        scaling, as it was before any absorption.
         """
         # A fresh 1-D scaling in range is kept here. x[x.argmin()] is the
         # minimum, or the first NaN, which fails both comparisons; on small
@@ -373,7 +388,7 @@ class _Rule:
         else:
             self._take_u(u)
         self.before = (self.absorptions, self.F, self.G, self.u, self.v)
-        v = self.nu / self._matvec(self.u, 1)
+        v = self.fresh = self.nu / self._matvec(self.u, 1)
         if v.ndim == 1 and _SCALING_LO <= v[v.argmin()] and v[v.argmax()] <= _SCALING_HI:
             self.v = v
         else:
@@ -417,24 +432,26 @@ class _Rule:
         f = self.F + np.log(self.u)
         self._absorb(f, self.G + np.log(self.v) if _foldable(self.v) else self.lse(f, 1))
 
-    def estimate(self, G: np.ndarray, v: np.ndarray):
-        """Cheap column violation of the plan before the last column update,
-        whose G and v are given.
+    def near(self, tol: float) -> np.ndarray:
+        """The problems whose cheap estimate meets ``tol``, as the driver
+        asks after every step.
 
-        That plan has colsum_j = nu_j * v_j / v_next_j, or in log form
-        nu_j * exp(g_j - g_next_j), so its violation is free. The maximum
-        is taken over the last axis: one value per problem.
+        The estimate is the column violation of the plan before the last
+        column half, on the kernel it was built from: its column sums are
+        nu_j v_j / v_fresh_j, with v from ``before`` and v_fresh the
+        ``fresh`` scaling, so the violation is free whether the column
+        half kept, folded or redid v_fresh. A redone v_fresh (0, inf or
+        past the fold bound) gives about nu_j or inf, which meets no
+        tolerance below nu_j. The maximum is taken over the last axis: one
+        value per problem.
         """
-        # np.maximum.reduce, not ndarray.max, which wraps it in Python.
-        if G is self.G:
-            return np.maximum.reduce(np.abs(self.nu * (v / self.v - 1.0)), -1)
-        return np.maximum.reduce(np.abs(self.nu * np.expm1(G + np.log(v) - self.G)), -1)
-
-    def near(self, tol: float):
-        """The problems whose cheap estimate meets ``tol``: this one or none,
-        tested in Python, as the driver asks after every step."""
-        _, _, G, _, v = self.before
-        return (0,) if self.estimate(G, v) <= tol else ()
+        # np.maximum.reduce, not ndarray.max, and nonzero, not
+        # np.flatnonzero, which wrap them in Python; with keepdims a 2-D
+        # rule's estimate is an array too, which nonzero requires.
+        estimate = np.maximum.reduce(
+            np.abs(self.nu * (self.before[4] / self.fresh - 1.0)), -1, keepdims=True
+        )
+        return (estimate <= tol).nonzero()[0]
 
     def problem(self, k: int) -> _Rule:
         """Problem k of the rule; a one-problem rule is its own problem 0."""
@@ -525,9 +542,7 @@ class _Batch(_Rule):
     :meth:`_take_u` and :meth:`_take_v`. Whatever differs between
     problems runs per problem, through _Rule's own methods on a 2-D view
     of it (:meth:`problem`): the absorption of a scaling that leaves
-    range (:meth:`_absorb_one`; folded, or redone for the first row half
-    of each in log-domain mode and, rarely, after it), the log-form
-    estimate after a column absorption, and the plan.
+    range (:meth:`_absorb_one`) and the plan.
 
     While every problem holds a pattern (``parts``: its last rebuild's,
     or the empty kernel's at a log-domain start), the matvecs are one
@@ -548,7 +563,7 @@ class _Batch(_Rule):
         sizes = [cost.size for cost in costs]
         flat = np.empty(sum(sizes))
         self.kernels = [
-            np.multiply(cost, -1.0 / lam, out=part.reshape(cost.shape))
+            _neg_cost(cost, lam, out=part.reshape(cost.shape))
             for cost, part in zip(costs, np.split(flat, np.cumsum(sizes)[:-1]))
         ]
         count = len(costs)
@@ -594,9 +609,8 @@ class _Batch(_Rule):
     def _absorb_one(self, k: int, half) -> None:
         """Run ``half``, a half-step that absorbs (:meth:`_Rule._absorb_row`
         or :meth:`_Rule._absorb_col`), on problem k, whose fresh scaling is
-        in place. It folds that scaling, or, for the start's first row half
-        and the rare scaling past the fold bound or not finite, redoes the
-        half-step in log-sum-exp form.
+        in place: it folds that scaling or redoes the half-step, as in
+        :class:`_Rule`.
 
         It works in contiguous scratch rather than in the strided view of
         the stack, where the kernel rebuild takes about 1.5 times as long.
@@ -662,12 +676,6 @@ class _Batch(_Rule):
             self._layout()
         return _Rule._matvec(self, scaling, axis)
 
-    def step(self) -> None:
-        # (k, G, v before the column update) of each problem whose column
-        # half-step absorbed this step.
-        self.absorbed = []
-        _Rule.step(self)
-
     def _rejects(self, scaling: np.ndarray, pad: np.ndarray):
         """Problems whose fresh scaling is outside the range and absorbed."""
         # Padded entries are 0/0; at 1 they pass every test.
@@ -684,19 +692,12 @@ class _Batch(_Rule):
             self._absorb_one(k, _Rule._absorb_row)
 
     def _take_v(self, v: np.ndarray) -> None:
-        self.v = v
-        _, _, G_before, _, v_before = self.before
-        for k in self._rejects(v, self.pad_cols):
-            n = self.shapes[k][1]
-            self.absorbed.append((k, G_before[k, :n].copy(), v_before[k, :n]))
+        rejects = self._rejects(v, self.pad_cols)
+        # _absorb_one writes each absorbing problem's v back in place, so
+        # it writes into a copy: the fresh stack stays for the estimate.
+        self.v = v.copy() if len(rejects) else v
+        for k in rejects:
             self._absorb_one(k, _Rule._absorb_col)
-
-    def near(self, tol: float) -> np.ndarray:
-        _, _, G, _, v = self.before
-        estimates = _Rule.estimate(self, G, v)
-        for k, G, v in self.absorbed:
-            estimates[k] = self.problem(k).estimate(G, v)
-        return np.flatnonzero(estimates <= tol)
 
     def retain(self, alive: np.ndarray) -> None:
         """Drop the problems not marked alive from the stacks."""
@@ -762,8 +763,9 @@ def sinkhorn(
         DimensionMismatch: shapes disagree, marginals are not finite, do
             not sum to 1 within 1e-12 or contain non-positive mass, or
             cost is empty or not finite.
-        NumericalOverflow: scaling mode only, when ``exp(-c/lam)``
-            collapses; callers should retry with ``log_domain=True``.
+        NumericalOverflow: ``-cost/lam`` is not finite (lam too small
+            for the cost); or, in scaling mode only, ``exp(-c/lam)``
+            collapses, and callers should retry with ``log_domain=True``.
     """
     config = config or SinkhornConfig()
     cost = _check_cost(cost)
@@ -822,7 +824,7 @@ def batched_sinkhorn(costs, config: SinkhornConfig) -> BatchResult:
 
     Raises:
         DimensionMismatch: a cost is not 2-D, empty or not finite.
-        NumericalOverflow: scaling mode only, as in :func:`sinkhorn`.
+        NumericalOverflow: as in :func:`sinkhorn`.
     """
     costs = [_check_cost(cost) for cost in costs]
     count = len(costs)
@@ -881,9 +883,8 @@ class _Taped(_Rule):
     count, so it names the kernel the record's F and G build; that
     kernel times u v^T, over mu or nu, is the half-step's softmax, kept,
     folded (to rounding) or redone. In log-domain mode the empty kernel
-    of epoch 0 holds no half-step: the first row half is redone, so the
-    first record is of epoch 1. After the start a half-step is rarely
-    redone; the rest of the absorbed ones are folded.
+    of epoch 0 holds no half-step (see _Rule's start), so the first
+    record is of epoch 1.
     """
 
     def __init__(self, *args):
@@ -982,7 +983,7 @@ def unrolled_sinkhorn(cost: np.ndarray, config: SinkhornConfig, iterations: int)
     caller to detect.
 
     Raises:
-        NumericalOverflow: scaling mode only, as in :func:`sinkhorn`.
+        NumericalOverflow: as in :func:`sinkhorn`.
     """
     m, n = cost.shape
     rule = _Taped.on(

@@ -300,6 +300,14 @@ class TestCorr:
         path = self._write(tmp_path, ["a,-0.9,0.2"])
         assert invoke(runner, "corr", "--pairs", path).exit_code == 2
 
+    def test_header_after_blank_line(self, runner, tmp_path):
+        # The header is the first non-blank row, wherever it stands.
+        rows = ["a,-0.9,0.2", "b,-0.3,0.5", "c,-0.5,0.8"]
+        plain = report_of(invoke(runner, "corr", "--pairs", self._write(tmp_path, rows)))
+        path = tmp_path / "pairs.csv"
+        path.write_text("\n" + path.read_text())
+        assert report_of(invoke(runner, "corr", "--pairs", path))["results"] == plain["results"]
+
     def test_headerless(self, runner, tmp_path):
         path = self._write(tmp_path, ["a,-0.9,0.1", "b,-0.1,0.9"], header=False)
         report = report_of(invoke(runner, "corr", "--pairs", path))
@@ -426,6 +434,45 @@ class TestSynthAndConvert:
         fs = read_feature_file(out)
         assert fs.features.tolist() == [[1.5, 2.5], [0.25, -1.0]]
         assert fs.labels.tolist() == [0, 1]
+
+    def test_convert_header_after_blank_line(self, runner, tmp_path):
+        text = "label,x0,x1\n0,1.0,2.0\n1,3.0,4.0\n"
+        outputs = []
+        for name, body in (("plain", text), ("blank", "\n" + text)):
+            csv_path, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.ftrs"
+            csv_path.write_text(body)
+            report_of(invoke(runner, "convert", "--csv", csv_path, "--out", out, "--has-header"))
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
+class TestLambdaOverflow:
+    # A lambda so small that -cost/lambda overflows, or at 5e-324 -1/lambda
+    # itself, is a numerical failure naming lambda in every command that
+    # solves, not a zero-mass plan (exit 2) or a score from a garbage
+    # kernel (exit 0).
+    SPEC = {"classes": 3, "dim": 2, "samples_per_class": 10, "centroid_separation": 4.0,
+            "domain_shift": 1.0, "seed": 1}
+
+    @pytest.mark.parametrize("lam", ["1e-308", "5e-324"])
+    @pytest.mark.parametrize("command", [
+        ("score", "--metric", "f-otce"),
+        ("score", "--metric", "jc-otce"),
+        ("optimize", "--steps", "2"),
+    ], ids=["f-otce", "jc-otce", "optimize"])
+    def test_exit_3(self, runner, tmp_path, command, lam):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(self.SPEC))
+        pair = report_of(invoke(runner, "synth", "--spec", spec, "--out", tmp_path))["results"]
+        if command[0] == "optimize":
+            command += ("--out", tmp_path / "out.ftrs")
+        result = invoke(
+            runner, *command, "--source", pair["source"], "--target", pair["target"],
+            "--lambda", lam,
+        )
+        assert result.exit_code == 3, result.output
+        assert f"-cost/lam overflows (lam={float(lam)!r})" in result.output
+        assert "retry" not in result.output
 
 
 # Malformed inputs that once ended in a traceback (exit 1), were taken

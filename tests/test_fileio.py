@@ -160,6 +160,17 @@ class TestCsv:
         fs = read_csv(path, has_header=True)
         assert fs.n == 2
 
+    def test_header_after_blank_line(self, tmp_path):
+        # The header is the first non-blank row, wherever it stands.
+        text = "label,x0,x1\n0,1.0,2.0\n1,3.0,4.0\n"
+        plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+        plain.write_text(text)
+        blank.write_text("\n  \n" + text)
+        expected = read_csv(plain, has_header=True)
+        fs = read_csv(blank, has_header=True)
+        assert fs.features.tobytes() == expected.features.tobytes()
+        assert fs.labels.tolist() == expected.labels.tolist() == [0, 1]
+
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "a.csv"
         path.write_text("0,1.0,2.0\n1,3.0\n")

@@ -177,6 +177,16 @@ class TestValueAndGrad:
         value, grad = f_otce_value_and_grad(100 * xs, ys, 100 * xt, yt, good)
         assert np.isfinite(value) and np.isfinite(grad).all()
 
+    def test_kernel_overflow_raises_without_retry_hint(self, rng):
+        # -cost/lam overflows in either mode, so no retry is suggested.
+        xs, ys, xt, yt = random_instance(rng)
+        for log_domain in (True, False):
+            config = GradConfig(
+                sinkhorn=SinkhornConfig(lam=1e-308, log_domain=log_domain), unroll_iterations=5
+            )
+            with pytest.raises(NonFiniteGradient, match=r"overflows \(lam=1e-308\)$"):
+                f_otce_value_and_grad(xs, ys, xt, yt, config)
+
     def test_log_and_scaling_agree(self, rng):
         xs, ys, xt, yt = random_instance(rng)
         log_cfg = GradConfig(sinkhorn=SinkhornConfig(lam=0.5), unroll_iterations=60)

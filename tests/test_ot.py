@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -181,6 +182,37 @@ class TestSinkhorn:
         result = sinkhorn(cost, mu, mu, SinkhornConfig(lam=1e-3, log_domain=True))
         assert np.isfinite(result.transport_cost)
         assert result.coupling.marginal_violation() <= 1e-9 or not result.converged
+
+    @pytest.mark.parametrize("log_domain", [True, False], ids=["log", "scaling"])
+    @pytest.mark.parametrize("lam", [1e-308, 5e-324])
+    def test_kernel_overflow_raises(self, lam, log_domain):
+        # -cost/lam overflows: at 1e-308 the nonzero costs, at 5e-324 -1/lam
+        # itself, which turns the zero costs into NaN. No warning escapes.
+        cost = TestRedoPath.costs()[2]
+        cost[0, 0] = 0.0
+        config = SinkhornConfig(lam=lam, log_domain=log_domain)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solve in (
+                lambda: solo(cost, config),
+                lambda: ot.batched_sinkhorn([cost, cost[:, 1:]], config),
+                lambda: unrolled_sinkhorn(cost, config, 5),
+            ):
+                with pytest.raises(NumericalOverflow, match=f"lam={lam!r}"):
+                    solve()
+
+    def test_tiny_finite_kernel_solves(self):
+        # At lam = 1e-300, -cost/lam is finite and the log-domain solvers run.
+        cost = TestRedoPath.costs()[2]
+        config = SinkhornConfig(lam=1e-300, max_iterations=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = solo(cost, config)
+            batch = ot.batched_sinkhorn([cost, cost[:, 1:]], config)
+            plan, _ = unrolled_sinkhorn(cost, config, 20)
+        assert np.isfinite(result.coupling.values).all() and np.isfinite(result.transport_cost)
+        assert np.isfinite(batch.transport_cost).all()
+        assert plan.tobytes() == result.coupling.values.tobytes()
 
     @pytest.mark.parametrize("kind, seed", [
         ("uniform", 2), ("uniform", 3), ("squared", 0), ("squared", 1),
@@ -404,6 +436,84 @@ class TestFold:
         assert min(Counter(kernel.shape for kernel in absorptions).values()) >= 4
 
 
+def column_violation(rule, F, G, u, v):
+    """The column violation of the plan exp(-cost/lam + F + G) u v^T on
+    ``rule``'s cost and marginals, from the potentials and scalings alone
+    (no kernel floor)."""
+    plan = np.exp(rule.kernel + (F + np.log(u))[:, None] + (G + np.log(v))[None, :])
+    return np.abs(plan.sum(axis=0) - rule.nu).max()
+
+
+class TestStopEstimate:
+    # The cheap estimate is the column violation of the plan before the
+    # last column half, read from that half's fresh scaling as it was
+    # before any absorption. It must agree with the violation computed
+    # from the state ``before`` holds, whether the column half kept its
+    # scaling, folded it or redid the half-step. At lam = 1e-3 the first
+    # column half of the first and third costs finds some column with no
+    # kernel entry above the floor, so its scaling is infinite and it is
+    # redone.
+    CONFIG = TestRedoPath.CONFIG
+
+    @staticmethod
+    def kind(scaling):
+        """How a column half took its fresh scaling."""
+        if ot._in_range(scaling):
+            return "kept"
+        return "folded" if ot._foldable(scaling) else "redone"
+
+    @staticmethod
+    def assert_agrees(rule, violations):
+        """``near`` selects problem k at tolerances just above
+        violations[k] and not just below it."""
+        for k, violation in enumerate(violations):
+            slack = 1e-9 * violation
+            assert k in rule.near(violation + slack)
+            assert k not in rule.near(violation - slack)
+
+    def test_rule(self):
+        cost = TestRedoPath.costs()[2]
+        m, n = cost.shape
+        rule = ot._Rule.on(cost, uniform_marginal(m), uniform_marginal(n), self.CONFIG.lam, absorb=True)
+        kinds, infinite = [], []
+        for _ in range(300):
+            step(rule)
+            kinds.append(self.kind(rule.fresh))
+            infinite.append(np.isinf(rule.fresh).any())
+            _, F, G, u, v = rule.before
+            self.assert_agrees(rule, [column_violation(rule, F, G, u, v)])
+        assert kinds[0] == "redone" and infinite[0]
+        assert kinds.count("folded") >= 2 and kinds.count("kept") >= 200
+
+    def test_batch(self, monkeypatch):
+        # Each absorbing problem writes its F, G, u and v back into the
+        # stacks in place, so the state before each column half is copied
+        # as it stood.
+        states = []
+        take_v = ot._Batch._take_v
+
+        def copying(batch, v):
+            states.append([stack.copy() for stack in batch.before[1:]])
+            take_v(batch, v)
+
+        monkeypatch.setattr(ot._Batch, "_take_v", copying)
+        costs = TestRedoPath.costs()
+        batch = ot._Batch(costs, self.CONFIG.lam, absorb=True)
+        kinds, infinite = [], []
+        for _ in range(300):
+            step(batch)
+            F, G, u, v = states.pop()
+            violations = []
+            for k, (m, n) in enumerate(batch.shapes):
+                kinds.append(self.kind(batch.fresh[k, :n]))
+                infinite.append(np.isinf(batch.fresh[k, :n]).any())
+                problem = batch.problem(k)
+                violations.append(column_violation(problem, F[k, :m], G[k, :n], u[k, :m], v[k, :n]))
+            self.assert_agrees(batch, violations)
+        assert kinds[:3] == ["redone", "kept", "redone"] and infinite[:3] == [True, False, True]
+        assert kinds.count("folded") >= 6 and kinds.count("kept") >= 600
+
+
 class TestKernelRebuild:
     # An absorption rebuilds the kernel by a dense exp masked afterwards,
     # or by an exp over the entries above the floor alone, which are then
@@ -577,6 +687,21 @@ class TestSparseBatch:
         assert stops[1] == stops[3] == 300 and first != second and max(first, second) < 300
         assert batch.converged.tolist() == [True, False, True, False]
         assert set(batch_forms) == {"sparse"} and all(stackless)
+
+    def test_column_fold_at_a_stop(self):
+        # At this tolerance the third cost stops at iteration 1243, the
+        # first whose cheap estimate and true error both meet it, and its
+        # column half folds there: the estimate that opens the stop check
+        # is the one read after a fold. The others stop earlier, each at
+        # its own iteration.
+        costs = TestRedoPath.costs()
+        config = SinkhornConfig(lam=1e-3, max_iterations=3000, marginal_tolerance=0.0445)
+        batch = self.assert_bit_identical(costs, config)
+        assert batch.converged.all() and batch.iterations.tolist() == [787, 106, 1243]
+        m, n = costs[2].shape
+        rule = ot._Rule.on(costs[2], uniform_marginal(m), uniform_marginal(n), config.lam, absorb=True)
+        step(rule, 1243)
+        assert TestStopEstimate.kind(rule.fresh) == "folded"
 
     def test_dense_rebuild_mid_run(self, monkeypatch, batch_forms, stackless):
         # One problem's second rebuild, after the stack has stepped sparse,
