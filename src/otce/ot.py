@@ -25,11 +25,13 @@ stopping estimate, and the reverse of each step. One driver,
 :func:`_stops`, steps it until each problem stops: :func:`sinkhorn`'s
 one, or :func:`batched_sinkhorn`'s many small ones (jc-otce's class
 pairs) as padded stacks of problems of similar shape, with the same rule
-applied per problem wherever problems differ. :func:`unrolled_sinkhorn`
-replays exactly K of the same steps for the differentiable path in
-:mod:`otce.gradient` and walks them backwards, every half-step, kept,
-folded or redone, as matvecs on its epoch's kernel (the kernel between two
-absorptions, rebuilt once per epoch), with no exp per step.
+applied per problem wherever problems differ, so each takes the steps of
+:func:`sinkhorn` on its cost alone, to the bit. :func:`unrolled_sinkhorn`
+replays exactly K of the same steps on such a stack, for the
+differentiable path in :mod:`otce.gradient` (one problem, or the steps of
+a target epoch), and walks them backwards, every half-step, kept, folded
+or redone, as matvecs on its epoch's kernel (the kernel between two of
+its problem's absorptions, rebuilt once per epoch), with no exp per step.
 
 The solvers and the unrolled reverse use no BLAS call: every product is
 an einsum, ufunc or sequential ``np.bincount`` loop and every reduction
@@ -49,9 +51,9 @@ the warnings of the caller's own arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
@@ -281,9 +283,22 @@ def _foldable(scaling: np.ndarray) -> bool:
     return 0.0 < scaling.min() and scaling.max() <= _FOLD_HI
 
 
+def _pattern_matvec(pattern, scaling: np.ndarray, axis: int, shape) -> np.ndarray:
+    """K v (axis 0) or K^T u (axis 1) of the kernel whose nonzeros
+    ``pattern`` holds, as a sequential bincount into an array of ``shape``.
+
+    The pattern indexes the flattened scalings and product, so one
+    bincount serves a 2-D kernel and a _Batch's stacked pattern alike.
+    """
+    rows, cols, data = pattern
+    into, read = (cols, rows) if axis else (rows, cols)
+    weights = data * scaling.reshape(-1)[read]
+    return np.bincount(into, weights=weights, minlength=math.prod(shape)).reshape(shape)
+
+
 def _in_range(scaling: np.ndarray, axis=None):
     """Whether the scalings lie in [e^-_ABSORB, e^_ABSORB]: all of them,
-    or those of each problem along ``axis``. _Rule.step tests a 1-D
+    or those of each problem along ``axis``. _Rule.step tests a whole
     scaling inline."""
     # NaN fails both comparisons. A whole-array test that fails the lower
     # bound is decided without the second reduction.
@@ -378,18 +393,19 @@ class _Rule:
         (absorptions, F, G, u, v); ``fresh`` holds the column half's fresh
         scaling, as it was before any absorption.
         """
-        # A fresh 1-D scaling in range is kept here. x[x.argmin()] is the
-        # minimum, or the first NaN, which fails both comparisons; on small
-        # scalings it costs a third of a ufunc reduction. The rest go to
-        # _take_u and _take_v, where a _Batch tests its stacks per problem.
+        # A fresh scaling in range, of one problem or of a whole _Batch
+        # stack, is kept here. x.item(x.argmin()) is the minimum, or the
+        # first NaN, which fails both comparisons; on small scalings it
+        # costs a third of a ufunc reduction. The rest go to _take_u and
+        # _take_v, where a _Batch tests its stacks per problem.
         u = self.mu / self._matvec(self.v, 0)
-        if u.ndim == 1 and _SCALING_LO <= u[u.argmin()] and u[u.argmax()] <= _SCALING_HI:
+        if _SCALING_LO <= u.item(u.argmin()) and u.item(u.argmax()) <= _SCALING_HI:
             self.u = u
         else:
             self._take_u(u)
         self.before = (self.absorptions, self.F, self.G, self.u, self.v)
         v = self.fresh = self.nu / self._matvec(self.u, 1)
-        if v.ndim == 1 and _SCALING_LO <= v[v.argmin()] and v[v.argmax()] <= _SCALING_HI:
+        if _SCALING_LO <= v.item(v.argmin()) and v.item(v.argmax()) <= _SCALING_HI:
             self.v = v
         else:
             self._take_v(v)
@@ -399,13 +415,7 @@ class _Rule:
         with a held pattern a sequential bincount over K's nonzeros."""
         if self.pattern is None:
             return np.einsum(self._KTU if axis else self._KV, self.work, scaling)
-        rows, cols, data = self.pattern
-        into, read = (cols, rows) if axis else (rows, cols)
-        # The pattern indexes the flattened stacks, so one bincount serves
-        # a 2-D kernel and a _Batch (with or without its dense stack) alike.
-        shape = (self.v if axis else self.u).shape
-        weights = data * scaling.reshape(-1)[read]
-        return np.bincount(into, weights=weights, minlength=math.prod(shape)).reshape(shape)
+        return _pattern_matvec(self.pattern, scaling, axis, (self.v if axis else self.u).shape)
 
     def _take_u(self, u: np.ndarray) -> None:
         """Take a fresh u outside the range (see :meth:`_absorbs`)."""
@@ -535,22 +545,31 @@ class _Batch(_Rule):
     """Independent problems stacked on a leading axis and stepped together.
 
     Problem k fills the top-left m_k x n_k corner of slice k of the
-    padded stacks; padded entries of the stacked kernel are zero and
-    padded scalings are held at 1, so the stacked matvecs give each
-    problem its own products. Its fresh 2-D scalings skip the inline
-    range test of _Rule.step and are tested per problem in
-    :meth:`_take_u` and :meth:`_take_v`. Whatever differs between
-    problems runs per problem, through _Rule's own methods on a 2-D view
-    of it (:meth:`problem`): the absorption of a scaling that leaves
-    range (:meth:`_absorb_one`) and the plan.
+    padded stacks. The padding holds marginals and products of 1, so
+    padded scalings are 1 and pass every range test: _Rule.step tests the
+    fresh stacks whole, and those out of range per problem
+    (:meth:`_take_u`, :meth:`_take_v`). Whatever differs between problems
+    runs per problem, through _Rule's own methods on a 2-D view of it
+    (:meth:`problem`): the absorption of a scaling that leaves range
+    (:meth:`_absorb_one`) and the plan. An absorbing half-step writes into
+    copies of the stacks of potentials, scalings and absorption counts
+    (``absorptions``, one per problem), so the stacks that ``before``,
+    ``fresh`` or a tape hold are never overwritten.
 
-    While every problem holds a pattern (``parts``: its last rebuild's,
-    or the empty kernel's at a log-domain start), the matvecs are one
-    bincount over a stacked pattern (:meth:`_layout`),
-    which holds each problem's nonzeros in its own row-major order, so
-    each problem's sums add the same terms in the same order as
-    :func:`sinkhorn` on its cost alone; otherwise they are einsums over
-    the dense stack ``work``, which is held only then, or in scaling mode.
+    Each problem's products are those of its 2-D rule, to the bit, in the
+    form its kernel is held in. While every problem holds a pattern
+    (``parts``: its last rebuild's, or the empty kernel's at a log-domain
+    start), the matvecs are one bincount over a stacked pattern
+    (:meth:`_layout`), which holds each problem's nonzeros in its own
+    row-major order. Otherwise the batch holds the padded dense stack
+    ``work``, whose padding is zero. Its column matvec is one einsum,
+    which sums each column in sequence, so the padding adds exact zeros.
+    Its row matvec sums each row over its contiguous entries in an order
+    that depends on their count, so it is one einsum per run of
+    consecutive problems with one column count, each over those columns
+    alone. A problem of one column sums it as a dot product, as its 2-D
+    einsum does, and one holding a pattern as a bincount, so each of
+    those also takes its own product.
     """
 
     _KV = "bij,bj->bi"
@@ -562,34 +581,57 @@ class _Batch(_Rule):
         # it. One buffer holds them all, so it is freed in one piece.
         sizes = [cost.size for cost in costs]
         flat = np.empty(sum(sizes))
+        stops = list(itertools.accumulate(sizes))
         self.kernels = [
-            _neg_cost(cost, lam, out=part.reshape(cost.shape))
-            for cost, part in zip(costs, np.split(flat, np.cumsum(sizes)[:-1]))
+            _neg_cost(cost, lam, out=flat[stop - cost.size:stop].reshape(cost.shape))
+            for cost, stop in zip(costs, stops)
         ]
         count = len(costs)
         rows, cols = (max(extent) for extent in zip(*self.shapes))
-        mu = np.zeros((count, rows))
-        nu = np.zeros((count, cols))
+        mu = np.ones((count, rows))
+        nu = np.ones((count, cols))
         for k, (m, n) in enumerate(self.shapes):
             mu[k, :m] = uniform_marginal(m)
             nu[k, :n] = uniform_marginal(n)
-        # The stacks have no kernel of their own, and the log marginals
-        # are -inf in the padding, which no stacked step reads.
-        with np.errstate(divide="ignore"):
-            super().__init__(
-                None, None, mu, nu, np.log(mu), np.log(nu), lam, absorb,
-                np.zeros_like(mu), np.zeros_like(nu), np.ones_like(mu), np.ones_like(nu),
-            )
-        if not absorb:
-            self.work = np.zeros((count, rows, cols))
-            for k, (m, n) in enumerate(self.shapes):
-                np.exp(self.kernels[k], out=self.work[k, :m, :n])
-        self.scratch = np.empty(rows * cols)
-        self.pad_rows = mu == 0.0
-        self.pad_cols = nu == 0.0
+        super().__init__(
+            None, None, mu, nu, np.log(mu), np.log(nu), lam, absorb,
+            np.zeros_like(mu), np.zeros_like(nu), np.ones_like(mu), np.ones_like(nu),
+        )
+        self.absorptions = np.zeros(count, dtype=np.intp)
+        self._group()
+        self.scratch = np.empty(max(sizes))
         # Each problem's pattern in its own indices, or None while its
         # kernel is dense.
         self.parts = [_EMPTY if absorb else None] * count
+        if absorb:
+            self._layout()
+        else:
+            self._hold()
+            for k, (m, n) in enumerate(self.shapes):
+                np.exp(self.kernels[k], out=self.work[k, :m, :n])
+
+    def _group(self) -> None:
+        """What the shapes fix: ``pads``, per axis 1 in the padding of the
+        row (0) or column (1) stacks and 0 elsewhere, or None where nothing
+        is padded, which added to a product puts the padding's 1 in place;
+        ``runs``, the runs of consecutive problems with one column count,
+        or None if there is one; and ``singles``, the problems of one
+        column among wider ones."""
+        extents = [np.array(extent)[:, None] for extent in zip(*self.shapes)]
+        self.pads = [
+            None if extent.min() == stack.shape[1] else 1.0 * (np.arange(stack.shape[1]) >= extent)
+            for extent, stack in zip(extents, (self.mu, self.nu))
+        ]
+        columns = [n for _, n in self.shapes]
+        starts = [k for k in range(len(columns)) if not k or columns[k] != columns[k - 1]]
+        # Each run is held as the slices of the dense stack, of the column
+        # scalings and of the row product that its einsum takes.
+        self.runs = [
+            ((run, slice(None), slice(columns[run.start])), (run, slice(columns[run.start])), run)
+            for run in map(slice, starts, starts[1:] + [len(columns)])
+        ] if len(starts) > 1 else None
+        wide = self.nu.shape[1] > 1
+        self.singles = [k for k, n in enumerate(columns) if n == 1 and wide]
 
     def problem(self, k: int) -> _Rule:
         """Problem k as a 2-D _Rule on its kernel, its pattern and views into the stacks.
@@ -616,7 +658,8 @@ class _Batch(_Rule):
         the stack, where the kernel rebuild takes about 1.5 times as long.
         Its pattern, if any, is kept for the stacked matvecs, and its kernel
         written into the dense stack, from scratch or from its pattern; a
-        dense one builds the stack if none is held.
+        dense one builds the stack if none is held, and the stack goes once
+        every problem holds a pattern.
         """
         rule = self.problem(k)
         m, n = self.shapes[k]
@@ -624,18 +667,31 @@ class _Batch(_Rule):
         half(rule)
         self.F[k, :m], self.u[k, :m] = rule.F, rule.u
         self.G[k, :n], self.v[k, :n] = rule.G, rule.v
+        self.absorptions[k] += 1
         self.parts[k] = rule.pattern
-        if self.work is None and rule.pattern is None:
-            self.work = np.zeros(self.u.shape + self.v.shape[1:])
-            for j, part in enumerate(self.parts):
-                _scatter(part, self.work[j])
-        if self.work is not None:
+        if self.work is None:
+            if rule.pattern is None:
+                self._hold()
+                self.work[k, :m, :n] = rule.work
+            elif self.pattern is not None:
+                self._place(k)
+        elif None not in self.parts:
+            self._layout()
+        else:
             if rule.pattern is None:
                 self.work[k, :m, :n] = rule.work
             else:
                 _scatter(rule.pattern, self.work[k])
-        if self.pattern is not None:
-            self._place(k)
+            self.sparse = [j for j, part in enumerate(self.parts) if part is not None]
+
+    def _hold(self) -> None:
+        """Hold the dense stack, each problem's kernel scattered into it
+        from its pattern; the stacked pattern goes."""
+        self.work = np.zeros(self.u.shape + self.v.shape[1:])
+        for part, slice_ in zip(self.parts, self.work):
+            _scatter(part, slice_)
+        self.sparse = [k for k, part in enumerate(self.parts) if part is not None]
+        self.pattern = None
 
     def _layout(self) -> None:
         """The stacked pattern: a slot per problem, 1/_ROOM longer than its
@@ -658,7 +714,7 @@ class _Batch(_Rule):
         """Write problem k's pattern into its slot of the stacked pattern,
         or drop the stacked pattern if it no longer fits."""
         part, (start, stop) = self.parts[k], self.slots[k]
-        if part is None or start + part[2].size > stop:
+        if start + part[2].size > stop:
             self.pattern = None
             return
         end = start + part[2].size
@@ -671,44 +727,70 @@ class _Batch(_Rule):
         data[end:stop] = 0.0
 
     def _matvec(self, scaling: np.ndarray, axis: int) -> np.ndarray:
-        # The stack steps sparse only while every problem holds a pattern.
-        if self.pattern is None and all(part is not None for part in self.parts):
-            self._layout()
-        return _Rule._matvec(self, scaling, axis)
+        work = self.work
+        if work is None:
+            if self.pattern is None:
+                self._layout()
+            product = _pattern_matvec(self.pattern, scaling, axis, (self.v if axis else self.u).shape)
+        else:
+            if axis:
+                product = np.einsum(self._KTU, work, scaling)
+                for k in self.singles:
+                    m = self.shapes[k][0]
+                    product[k, 0] = np.einsum("i,i->", work[k, :m, 0].copy(), scaling[k, :m])
+            elif self.runs is None:
+                product = np.einsum(self._KV, work, scaling)
+            else:
+                product = np.empty(self.u.shape)
+                for stack, read, write in self.runs:
+                    np.einsum(self._KV, work[stack], scaling[read], out=product[write])
+            for k in self.sparse:
+                m, n = self.shapes[k]
+                size, read = (n, m) if axis else (m, n)
+                product[k, :size] = _pattern_matvec(self.parts[k], scaling[k, :read], axis, (size,))
+        pad = self.pads[axis]
+        # Not in place: on the empty kernel, bincount's sums are integers.
+        return product if pad is None else product + pad
 
-    def _rejects(self, scaling: np.ndarray, pad: np.ndarray):
+    def _rejects(self, scaling: np.ndarray):
         """Problems whose fresh scaling is outside the range and absorbed."""
-        # Padded entries are 0/0; at 1 they pass every test.
-        scaling[pad] = 1.0
-        # One test over the whole stack first; in scaling mode it raises
-        # NumericalOverflow or passes, so only log-domain problems return.
-        if _in_range(scaling) or not self._absorbs(scaling):
+        # In scaling mode _absorbs raises NumericalOverflow or keeps them
+        # all, so only log-domain problems return.
+        if not self._absorbs(scaling):
             return ()
         return np.flatnonzero(~_in_range(scaling, axis=-1))
 
     def _take_u(self, u: np.ndarray) -> None:
         self.u = u
-        for k in self._rejects(u, self.pad_rows):
-            self._absorb_one(k, _Rule._absorb_row)
+        self._absorb_each(self._rejects(u), _Rule._absorb_row)
 
     def _take_v(self, v: np.ndarray) -> None:
-        rejects = self._rejects(v, self.pad_cols)
-        # _absorb_one writes each absorbing problem's v back in place, so
-        # it writes into a copy: the fresh stack stays for the estimate.
-        self.v = v.copy() if len(rejects) else v
-        for k in rejects:
-            self._absorb_one(k, _Rule._absorb_col)
+        self.v = v
+        self._absorb_each(self._rejects(v), _Rule._absorb_col)
+
+    def _absorb_each(self, rejects, half) -> None:
+        """Absorb ``half`` on each rejecting problem, into copies of the stacks."""
+        if len(rejects):
+            self.F, self.G, self.u, self.v, self.absorptions = (
+                stack.copy() for stack in (self.F, self.G, self.u, self.v, self.absorptions)
+            )
+            for k in rejects:
+                self._absorb_one(k, half)
 
     def retain(self, alive: np.ndarray) -> None:
         """Drop the problems not marked alive from the stacks."""
-        for name in ("work", "pad_rows", "pad_cols", "mu", "log_mu", "F", "u",
-                     "nu", "log_nu", "G", "v"):
+        for name in ("work", "mu", "log_mu", "F", "u", "nu", "log_nu", "G", "v", "absorptions"):
             stack = getattr(self, name)
             setattr(self, name, stack if stack is None else stack[alive])
         self.kernels = [kernel for kernel, keep in zip(self.kernels, alive) if keep]
         self.shapes = [kernel.shape for kernel in self.kernels]
         self.parts = [part for part, keep in zip(self.parts, alive) if keep]
+        self._group()
         self.pattern = None
+        if None not in self.parts:
+            self.work = None
+        elif self.work is not None:
+            self.sparse = [k for k, part in enumerate(self.parts) if part is not None]
 
 
 def _stops(rule: _Rule, problems, config: SinkhornConfig):
@@ -815,12 +897,8 @@ def batched_sinkhorn(costs, config: SinkhornConfig) -> BatchResult:
     problem (see :class:`_Batch`). Each problem stops when its own true
     marginal error meets the tolerance and is then dropped from its
     batch, so it takes the steps, absorptions and stopping iteration of
-    :func:`sinkhorn` on its cost alone. If the batch steps sparse
-    throughout (see :class:`_Batch`), its values equal that solve's to
-    the bit. Where it steps dense (scaling mode, or while a problem is
-    above _SPARSE_SHARE) they agree to rounding: the dense padded row
-    matvec sums in another order than :func:`sinkhorn`'s einsum or
-    bincount.
+    :func:`sinkhorn` on its cost alone, and its values equal that
+    solve's to the bit, sparse or dense.
 
     Raises:
         DimensionMismatch: a cost is not 2-D, empty or not finite.
@@ -874,17 +952,18 @@ def _runs(order: list[int], axis: int, shapes) -> list[list[int]]:
     return runs
 
 
-class _Taped(_Rule):
-    """The rule, taping what the reverse of each half-step needs.
+class _Taped(_Batch):
+    """The batch, taping what the reverse of each half-step needs.
 
-    ``tape`` holds one record (epoch, F, G, u, v) of the state after
+    ``tape`` holds one record (epochs, F, G, u, v) of the stacks after
     each half-step, 2K of them for K steps: a row half at each even
-    index, a column half at each odd one. The epoch is the absorption
-    count, so it names the kernel the record's F and G build; that
-    kernel times u v^T, over mu or nu, is the half-step's softmax, kept,
-    folded (to rounding) or redone. In log-domain mode the empty kernel
-    of epoch 0 holds no half-step (see _Rule's start), so the first
-    record is of epoch 1.
+    index, a column half at each odd one. The epochs are the problems'
+    absorption counts, so each names the kernel that its problem's F and
+    G build; that kernel times u v^T, over mu or nu, is the half-step's
+    softmax, kept, folded (to rounding) or redone. In log-domain mode the
+    empty kernel of epoch 0 holds no half-step (see _Rule's start), so a
+    problem's first record is of epoch 1. A record holds the stacks
+    themselves: an absorption writes into copies (see :class:`_Batch`).
     """
 
     def __init__(self, *args):
@@ -896,64 +975,90 @@ class _Taped(_Rule):
         _Rule.step(self)
         self.tape += self.before, (self.absorptions, self.F, self.G, self.u, self.v)
 
-    def pullback(self, plan: np.ndarray, dplan: np.ndarray) -> np.ndarray:
-        """d(loss)/d(cost) from d(loss)/d(plan), walking the taped steps back.
+    def pullback(self, plans: list, dplans: list) -> list:
+        """Each problem's d(loss)/d(cost) from its d(loss)/d(plan), walking
+        the taped steps back.
 
         A half-step's softmax is its epoch's kernel times u v^T, over mu
         (row half) or nu (column half), so its adjoints are one matvec on
         that kernel, and its term of dkernel is the kernel times a
-        rank-one product. Those terms are collected per epoch and added
-        once, when the walk leaves the epoch; each earlier epoch's kernel
-        is rebuilt once, as its absorption built it (the last one is in
-        ``work``, scattered there from its pattern if it holds one). No
+        rank-one product. The matvecs are one einsum each over a padded
+        stack of the problems' kernels, each of its own epoch; the adjoint
+        they read is a strided column of the factors below, whose sums the
+        einsum takes in sequence, so the zero padding adds exact zeros and
+        each problem's bits are those of a batch of it alone. A problem's
+        terms of dkernel are collected per epoch and added once, when the
+        walk leaves the epoch; each earlier epoch's kernel is rebuilt once,
+        as its absorption built it, into the walk's own stack. No
         half-step runs an exp of its own.
         """
-        m, n = self.kernel.shape
         tape = self.tape
+        if self.work is None:
+            store = np.zeros(self.u.shape + self.v.shape[1:])
+            for part, slice_ in zip(self.parts, store):
+                _scatter(part, slice_)
+        else:
+            store = self.work.copy()
+        kernels = [store[p, :m, :n] for p, (m, n) in enumerate(self.shapes)]
         neg_mu, neg_nu = -self.mu, -self.nu
-        kernel, held = _scatter(self.pattern, self.work), tape[-1][0]
-        # The rank-one factors of dkernel, column k for tape[k]; the held
-        # epoch's terms are the columns from k + 1 up to ``end``.
-        rows = np.empty((m, len(tape)))
-        cols = np.empty((n, len(tape)))
-        end = len(tape)
+        # The rank-one factors of dkernel, column k for tape[k]; problem
+        # p's held epoch has its terms in the columns from k + 1 up to
+        # ends[p].
+        rows = np.empty(self.mu.shape + (len(tape),))
+        cols = np.empty(self.nu.shape + (len(tape),))
+        ends = [len(tape)] * len(kernels)
+        seen = tape[-1][0]
+        held = seen.copy()
+        df, dg = np.zeros_like(self.mu), np.zeros_like(self.nu)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # plan = exp(kernel + f + g): one product serves all three adjoints.
-            dkernel = dplan * plan
-            df, dg = dkernel.sum(axis=1), dkernel.sum(axis=0)
+            dkernels = [dplan * plan for plan, dplan in zip(plans, dplans)]
+            for p, dkernel in enumerate(dkernels):
+                m, n = dkernel.shape
+                df[p, :m], dg[p, :n] = dkernel.sum(axis=1), dkernel.sum(axis=0)
             for k in range(len(tape) - 1, -1, -1):
-                epoch, F, G, u, v = tape[k]
-                if epoch != held:
-                    dkernel += _rank_sum(rows[:, k + 1:end], cols[:, k + 1:end], kernel)
-                    if kernel is self.work:
-                        kernel = np.empty_like(kernel)
-                    _scatter(self._build(F, G, kernel), kernel)
-                    held, end = epoch, k + 1
+                epochs, F, G, u, v = tape[k]
+                # The epochs change only by an absorption, which copies them.
+                if epochs is not seen:
+                    seen = epochs
+                    for p in np.flatnonzero(epochs != held):
+                        m, n = self.shapes[p]
+                        dkernels[p] += _rank_sum(
+                            rows[p, :m, k + 1:ends[p]], cols[p, :n, k + 1:ends[p]], kernels[p]
+                        )
+                        rule = self.problem(p)
+                        _scatter(rule._build(F[p, :m], G[p, :n], kernels[p]), kernels[p])
+                        held[p], ends[p] = epochs[p], k + 1
                 # The products and sums are taken in place: t *= u gives
                 # the bits of u * t, and t += df those of df + t.
                 if k % 2:
                     # soft = K u v^T / nu: dkernel gets K u (-v dg / nu)^T.
-                    # b stays a strided column of cols: on it the einsum
-                    # sums each row in sequence, on a contiguous copy in
-                    # another order, which would move the gradient's bits.
-                    b = np.multiply(dg, v, out=cols[:, k])
-                    b /= neg_nu
-                    rows[:, k] = u
-                    t = np.einsum(self._KV, kernel, b)
+                    # b is read as a strided column of cols: on it the
+                    # einsum sums each row in sequence, on a contiguous
+                    # array in another order, which would move the
+                    # gradient's bits. It is formed contiguous, where the
+                    # ufuncs are faster, and copied in.
+                    b = cols[..., k]
+                    b[...] = dg * v / neg_nu
+                    rows[..., k] = u
+                    t = np.einsum(self._KV, store, b)
                     t *= u
                     t += df
                     df = t
                 else:
                     # soft = K u v^T / mu: dkernel gets K (-u df / mu) v^T.
-                    a = np.multiply(df, u, out=rows[:, k])
-                    a /= neg_mu
-                    cols[:, k] = v
-                    dg = np.einsum(self._KTU, kernel, a)
+                    a = rows[..., k]
+                    a[...] = df * u / neg_mu
+                    cols[..., k] = v
+                    dg = np.einsum(self._KTU, store, a)
                     dg *= v
                     # The row half overwrites f: df is zero.
                     df = 0.0
-            dkernel += _rank_sum(rows[:, :end], cols[:, :end], kernel)
-            return dkernel * (-1.0 / self.lam)
+            scale = -1.0 / self.lam
+            for p, (dkernel, (m, n)) in enumerate(zip(dkernels, self.shapes)):
+                dkernel += _rank_sum(rows[p, :m, :ends[p]], cols[p, :n, :ends[p]], kernels[p])
+                dkernel *= scale
+            return dkernels
 
 
 def _rank_sum(rows: np.ndarray, cols: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -971,32 +1076,31 @@ def _scatter(pattern, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def unrolled_sinkhorn(cost: np.ndarray, config: SinkhornConfig, iterations: int):
-    """Exactly ``iterations`` update pairs on uniform marginals, and their reverse.
+def unrolled_sinkhorn(costs: list[np.ndarray], config: SinkhornConfig, iterations: int):
+    """Exactly ``iterations`` update pairs on each cost's uniform marginals,
+    stacked, and their reverse.
 
     The forward replays the steps of :func:`sinkhorn` with no early
-    stopping (``config``'s iteration cap and tolerance do not apply), so
-    the plan equals the solver's plan after that many iterations. Returns
-    ``(plan, pullback)``: ``pullback(dplan)`` maps d(loss)/d(plan) to
+    stopping (``config``'s iteration cap and tolerance do not apply), as
+    one :class:`_Taped` batch, so each plan equals the solver's plan on
+    its cost after that many iterations, to the bit. Returns ``(plans,
+    pullback)``: ``pullback(dplans)`` maps each d(loss)/d(plan) to
     d(loss)/d(cost) by walking the same steps backwards, each as matvecs
-    on the kernel of its epoch. Non-finite adjoints are left for the
-    caller to detect.
+    on the kernel of its epoch; each problem's are those of a batch of
+    it alone. Non-finite adjoints are left for the caller to detect.
 
     Raises:
-        NumericalOverflow: as in :func:`sinkhorn`.
+        NumericalOverflow: as in :func:`sinkhorn`, for any of the costs.
     """
-    m, n = cost.shape
-    rule = _Taped.on(
-        cost, uniform_marginal(m), uniform_marginal(n), config.lam, absorb=config.log_domain
-    )
+    rule = _Taped(costs, config.lam, config.log_domain)
     # The steps' error state (see the module docstring).
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(iterations):
             rule.step()
-    plan = rule.plan()
+    plans = [rule.problem(k).plan() for k in range(len(costs))]
     # The closure holds the rule, which holds nothing of the closure's,
     # so both are freed by reference counting once the caller drops it.
-    return plan, lambda dplan: rule.pullback(plan, dplan)
+    return plans, lambda dplans: rule.pullback(plans, dplans)
 
 
 def exact_ot_bruteforce(cost: np.ndarray) -> tuple[float, tuple[int, ...]]:
@@ -1021,7 +1125,7 @@ def exact_ot_bruteforce(cost: np.ndarray) -> tuple[float, tuple[int, ...]]:
     best = np.inf
     best_perm: tuple[int, ...] = tuple(range(n))
     rows = np.arange(n)
-    for perm in permutations(range(n)):
+    for perm in itertools.permutations(range(n)):
         value = cost[rows, perm].sum()
         if value < best:
             best = value

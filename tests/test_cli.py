@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,6 +356,29 @@ class TestOptimize:
         values = {line.split(",")[1] for line in trace.read_text().splitlines()[1:]}
         assert len(values) == 1
         assert out.read_bytes() == tp.read_bytes()
+
+    def test_overflowing_gradient_exit_3(self, tmp_path):
+        # At lam 1e-300 -cost/lam is finite, but the gradient overflows. Run
+        # with every RuntimeWarning an error, the report is exit 3, with no
+        # retry hint, as log-domain iterations are on, and no warning.
+        src, tgt = generate_task_pair(SyntheticTaskSpec(
+            classes=3, dim=2, samples_per_class=10, centroid_separation=4.0,
+            domain_shift=1.0, seed=1,
+        ))
+        sp, tp, out = tmp_path / "s.ftrs", tmp_path / "t.ftrs", tmp_path / "o.ftrs"
+        write_feature_file(src, sp)
+        write_feature_file(tgt, tp)
+        source = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "otce.cli", "optimize",
+             "--source", str(sp), "--target", str(tp), "--out", str(out),
+             "--lambda", "1e-300", "--steps", "3"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 3, result.stderr
+        assert result.stderr == "numerical failure: non-finite gradient (lam=1e-300)\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "options",

@@ -48,10 +48,10 @@ ps, pt = rng.normal(size=(1200, 16)), rng.normal(size=(900, 16))
 sq_s, sq_t = np.einsum("ik,ik->i", ps, ps), np.einsum("jk,jk->j", pt, pt)
 squared = sq_s[:, None] + sq_t[None, :] - 2.0 * np.einsum("ik,jk->ij", ps, pt)
 for log_domain in (True, False):
-    unrolled, pullback = unrolled_sinkhorn(
-        squared / 16.0, SinkhornConfig(lam=0.5, log_domain=log_domain), 20
+    [unrolled], pullback = unrolled_sinkhorn(
+        [squared / 16.0], SinkhornConfig(lam=0.5, log_domain=log_domain), 20
     )
-    print("unrolled", digest(unrolled), digest(pullback(np.log(unrolled))))
+    print("unrolled", digest(unrolled), digest(pullback([np.log(unrolled)])[0]))
 
 # A default solve that absorbs.
 absorbed = []

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -15,7 +16,7 @@ from otce import (
     nearest_centroid_probe,
     optimize_target_embeddings,
 )
-from otce import ot
+from otce import SyntheticTaskSpec, generate_task_pair, ot
 from otce.errors import (
     DimensionMismatch,
     DivergenceDetected,
@@ -150,7 +151,7 @@ class TestValueAndGrad:
         assert kernel_forms == ["sparse"] * 4
         assert value == reference
         cost = squared_euclidean_cost(xs, xt)
-        plan, _ = unrolled_sinkhorn(cost, solver, k)
+        [plan], _ = unrolled_sinkhorn([cost], solver, k)
         solved = ot.sinkhorn(cost, uniform_marginal(200), uniform_marginal(200), solver)
         assert plan.tobytes() == solved.coupling.values.tobytes()
 
@@ -307,13 +308,14 @@ class TestUnrolledReverse:
         reference_plan, reference = log_sum_exp_walk(cost, config, 40, dplan)
 
         rules = []
-        monkeypatch.setattr(ot._Taped, "plan", lambda rule: rules.append(rule) or ot._Rule.plan(rule))
-        plan, pullback = unrolled_sinkhorn(cost, config, 40)
+        init = ot._Taped.__init__
+        monkeypatch.setattr(ot._Taped, "__init__", lambda rule, *args: rules.append(rule) or init(rule, *args))
+        [plan], pullback = unrolled_sinkhorn([cost], config, 40)
         # Whether each half-step of the forward was redone: it absorbed, so
-        # the absorption count it tapes moved on. A log-domain rule starts
-        # on the empty kernel, so its first row half is redone; the mixes
-        # are counted over the steps after the first.
-        epochs = [0] + [record[0] for record in rules[0].tape]
+        # the absorption count it tapes for the one problem moved on. A
+        # log-domain rule starts on the empty kernel, so its first row half
+        # is redone; the mixes are counted over the steps after the first.
+        epochs = [0] + [int(record[0][0]) for record in rules[0].tape]
         redone = [after != before for before, after in zip(epochs, epochs[1:])]
         assert len(redone) == 2 * 40 and redone[0] == log_domain
         steps = set(zip(redone[2::2], redone[3::2]))
@@ -325,7 +327,7 @@ class TestUnrolledReverse:
             return _build(rule, f, g, out)
 
         monkeypatch.setattr(ot._Rule, "_build", counted)
-        dcost = pullback(dplan)
+        [dcost] = pullback([dplan])
 
         assert plan.tobytes() == reference_plan.tobytes()
         assert np.abs(dcost - reference).max() <= 1e-12 * np.abs(reference).max()
@@ -349,8 +351,8 @@ class TestUnrolledReverse:
         config = SinkhornConfig(lam=0.05, max_iterations=40, marginal_tolerance=1e-300)
         reference_plan, reference = log_sum_exp_walk(cost, config, 40, dplan)
         redone = zeroed_row(cost.shape, 3)
-        plan, pullback = unrolled_sinkhorn(cost, config, 40)
-        dcost = pullback(dplan)
+        [plan], pullback = unrolled_sinkhorn([cost], config, 40)
+        [dcost] = pullback([dplan])
         assert redone == [True]
         assert np.abs(plan - reference_plan).max() <= 1e-15
         assert np.abs(dcost - reference).max() <= 1e-12 * np.abs(reference).max()
@@ -358,27 +360,51 @@ class TestUnrolledReverse:
         solved = ot.sinkhorn(cost, uniform_marginal(30), uniform_marginal(12), config)
         assert redone == [True] and plan.tobytes() == solved.coupling.values.tobytes()
 
+    # Stacks with padded rows, padded columns and a one-column or one-row
+    # problem beside wider ones: each problem's plan is the solver's at K
+    # iterations and its reverse that of a stack of it alone, to the bit.
+    @pytest.mark.parametrize(
+        "shapes", [[(30, 12), (30, 12), (30, 7)], [(30, 12), (30, 1)], [(20, 12), (1, 12), (30, 5)]]
+    )
+    @pytest.mark.parametrize("log_domain, lam", [(True, 0.01), (False, 0.5)])
+    def test_stacked_equals_alone(self, shapes, log_domain, lam):
+        rng = np.random.default_rng(4)
+        costs = [
+            squared_euclidean_cost(rng.normal(size=(m, 2)), rng.normal(size=(n, 2)))
+            for m, n in shapes
+        ]
+        dplans = [rng.normal(size=shape) for shape in shapes]
+        config = SinkhornConfig(lam=lam, max_iterations=40, marginal_tolerance=1e-300,
+                                log_domain=log_domain)
+        plans, pullback = unrolled_sinkhorn(costs, config, 40)
+        for cost, plan, dplan, dcost in zip(costs, plans, dplans, pullback(dplans)):
+            m, n = cost.shape
+            solved = ot.sinkhorn(cost, uniform_marginal(m), uniform_marginal(n), config)
+            assert plan.tobytes() == solved.coupling.values.tobytes()
+            [alone], reverse = unrolled_sinkhorn([cost], config, 40)
+            assert reverse([dplan])[0].tobytes() == dcost.tobytes()
+
     # At lam = 0.01 the log-domain reverse rebuilds earlier epochs' kernels.
     @pytest.mark.parametrize("log_domain, lam", [(True, 0.01), (False, 0.5)])
     def test_solve_freed_without_cycle_collection(self, monkeypatch, log_domain, lam):
         rng = np.random.default_rng(1)
         cost = squared_euclidean_cost(rng.normal(size=(30, 2)), rng.normal(size=(12, 2)))
-        kernels = []
+        rules = []
 
-        def recorded_plan(rule, _plan=ot._Rule.plan):
-            kernels.append(weakref.ref(rule.work))
-            return _plan(rule)
+        def recorded_init(rule, *args, _init=ot._Taped.__init__):
+            rules.append(weakref.ref(rule))
+            _init(rule, *args)
 
-        monkeypatch.setattr(ot._Rule, "plan", recorded_plan)
+        monkeypatch.setattr(ot._Taped, "__init__", recorded_init)
         gc.disable()
         try:
             config = SinkhornConfig(lam=lam, log_domain=log_domain)
-            plan, pullback = unrolled_sinkhorn(cost, config, 40)
-            pullback(np.ones_like(plan))
-            [kernel] = kernels
-            assert kernel() is not None
+            [plan], pullback = unrolled_sinkhorn([cost], config, 40)
+            pullback([np.ones_like(plan)])
+            [rule] = rules
+            assert rule() is not None
             del plan, pullback
-            assert kernel() is None
+            assert rule() is None
         finally:
             gc.enable()
 
@@ -438,11 +464,14 @@ class TestOptimize:
         src, tgt = self._pair(rng)
         state = {"value": 0.0}
 
-        def plunging(xs, ys, xt, yt, config=None):
-            state["value"] -= 0.2
-            return state["value"], np.zeros_like(xt)
+        def plunging(problems, config):
+            results = []
+            for _, _, xt, _ in problems:
+                state["value"] -= 0.2
+                results.append((state["value"], np.zeros_like(xt), 0.0))
+            return results
 
-        monkeypatch.setattr(otce.gradient, "f_otce_value_and_grad", plunging)
+        monkeypatch.setattr(otce.gradient, "_values_and_grads", plunging)
         with pytest.raises(DivergenceDetected):
             optimize_target_embeddings(src, tgt, GradConfig(steps=30))
 
@@ -497,3 +526,215 @@ class TestNearestCentroidProbe:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             nearest_centroid_probe(make_set([[0.0]], [0]), make_set([[0.0, 1.0]], [0]))
+
+
+def stepwise(src, tgt, config, evaluate=f_otce_value_and_grad):
+    """The ascent of optimize_target_embeddings taken one step at a time:
+    each step draws its batches, is evaluated alone by ``evaluate`` and
+    applied, and its trace row and divergence test run, before the next
+    step draws. Returns the trace and the final target features."""
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    xt = tgt.features.copy()
+    trace = np.empty((config.steps, 3))
+    src_queue, tgt_queue = [], []
+    previous, drop_run = None, 0
+    for step in range(config.steps):
+        if not tgt_queue:
+            tgt_queue = list(rng.permutation(tgt.n))
+        if not src_queue:
+            src_queue = list(rng.permutation(src.n))
+        take_t = min(config.target_batch, len(tgt_queue))
+        take_s = min(config.source_batch, len(src_queue))
+        batch_t = np.sort(np.array(tgt_queue[:take_t], dtype=np.intp))
+        batch_s = np.sort(np.array(src_queue[:take_s], dtype=np.intp))
+        del tgt_queue[:take_t], src_queue[:take_s]
+        value, grad = evaluate(
+            src.features[batch_s], src.labels[batch_s], xt[batch_t], tgt.labels[batch_t], config
+        )
+        xt[batch_t] += config.learning_rate * grad
+        trace[step] = (step, value, float(np.linalg.norm(grad)))
+        if previous is not None and value < previous - 0.1:
+            drop_run += 1
+            if drop_run >= 10:
+                raise DivergenceDetected(
+                    f"score fell by > 0.1 for 10 consecutive steps (step {step})"
+                )
+        else:
+            drop_run = 0
+        previous = value
+    return trace, xt
+
+
+def forward_value(problem, config):
+    """f-otce of a problem (xs, ys, xt, yt) solved to exactly K iterations."""
+    xs, ys, xt, yt = problem
+    solver = SinkhornConfig(
+        lam=config.sinkhorn.lam, max_iterations=config.unroll_iterations,
+        marginal_tolerance=1e-300, log_domain=config.sinkhorn.log_domain,
+    )
+    return f_otce(make_set(xs, ys), make_set(xt, yt), MetricConfig(sinkhorn=solver)).value
+
+
+def guidance_pair(seed, per_class=20):
+    """The guidance acceptance test's task: 3 classes in 2-d."""
+    return generate_task_pair(SyntheticTaskSpec(
+        classes=3, dim=2, samples_per_class=per_class, centroid_separation=4.0,
+        domain_shift=2.0, label_permutation_fraction=0.3, seed=seed,
+    ))
+
+
+def assert_each_alone(problems, results, config):
+    """Each stacked result equals the problem's evaluated alone, to the
+    bit, and its value the solver's at exactly K iterations."""
+    for problem, (value, grad, norm) in zip(problems, results):
+        alone, alone_grad = f_otce_value_and_grad(*problem, config)
+        assert value == alone and grad.tobytes() == alone_grad.tobytes()
+        assert norm == float(np.linalg.norm(alone_grad))
+        assert value == forward_value(problem, config)
+
+
+class TestStackedEpoch:
+    # optimize_target_embeddings evaluates the steps of a target epoch as
+    # one stacked unrolled solve. Each step's value, gradient and trace row,
+    # and the final targets, must be those of the ascent that evaluates
+    # each step's batch alone, to the bit.
+
+    def run(self, monkeypatch, src, tgt, config):
+        """The stacked ascent against the stepwise one; returns the sizes
+        of the stacks it solved."""
+        calls = []
+        evaluate = otce.gradient._values_and_grads
+
+        def recording(problems, config):
+            results = evaluate(problems, config)
+            calls.append((problems, results))
+            return results
+
+        with monkeypatch.context() as patch:
+            patch.setattr(otce.gradient, "_values_and_grads", recording)
+            result = optimize_target_embeddings(src, tgt, config)
+        trace, xt = stepwise(src, tgt, config)
+        assert result.trace.tobytes() == trace.tobytes()
+        assert result.target.features.tobytes() == xt.tobytes()
+        for problems, results in calls:
+            assert_each_alone(problems, results, config)
+        return [len(problems) for problems, _ in calls]
+
+    # 60 targets in batches of 25 make 3-step epochs of 25, 25 and 10
+    # targets; 7 steps end one step into the third epoch.
+    CONFIG = GradConfig(steps=7, learning_rate=5.0, unroll_iterations=30, seed=4)
+
+    def test_short_last_batch(self, monkeypatch):
+        assert self.run(monkeypatch, *guidance_pair(0), self.CONFIG) == [3, 3, 1]
+
+    def test_batches_differ_in_rows_and_columns(self, monkeypatch):
+        # 63 sources and targets in batches of 25: 25, 25 and 13 of each,
+        # the source batches out of step with the target epochs. A padded
+        # row of 13 entries would be summed in another order.
+        config = GradConfig(
+            steps=7, learning_rate=5.0, unroll_iterations=30, source_batch=25, seed=1
+        )
+        assert self.run(monkeypatch, *guidance_pair(1, per_class=21), config) == [3, 3, 1]
+
+    def test_single_column_last_batch(self, monkeypatch):
+        # 51 targets: a last batch of one, beside batches of 25 columns.
+        src, tgt = guidance_pair(2, per_class=17)
+        assert self.run(monkeypatch, src, tgt, self.CONFIG) == [3, 3, 1]
+
+    def test_plain_scaling(self, monkeypatch):
+        config = GradConfig(
+            sinkhorn=SinkhornConfig(lam=0.5, log_domain=False), steps=7,
+            learning_rate=5.0, unroll_iterations=30, seed=3,
+        )
+        assert self.run(monkeypatch, *guidance_pair(3), config) == [3, 3, 1]
+
+    def test_redone_half_steps(self, monkeypatch, redos):
+        # A keep range narrowed to [e^-1, e^1], and the fold bound with it:
+        # every scaling that leaves the range has its half-step redone in
+        # log-sum-exp form, and they leave it throughout.
+        monkeypatch.setattr(ot, "_SCALING_LO", np.exp(-1.0))
+        monkeypatch.setattr(ot, "_SCALING_HI", np.exp(1.0))
+        monkeypatch.setattr(ot, "_FOLD_HI", np.exp(1.0))
+        assert self.run(monkeypatch, *guidance_pair(5), self.CONFIG) == [3, 3, 1]
+        # Four runs of the 7 steps (stacked, stepwise, alone and at exactly
+        # K iterations) redo far more half-steps than their starts, two a
+        # solve at most.
+        assert len(redos) > 3 * 2 * 7 * 4
+
+    def test_whole_target_batch(self, monkeypatch):
+        # A target batch covering the target set makes one-step epochs.
+        config = GradConfig(
+            steps=4, learning_rate=5.0, unroll_iterations=30, target_batch=60, seed=6
+        )
+        assert self.run(monkeypatch, *guidance_pair(6), config) == [1, 1, 1, 1]
+
+    def test_sparse_problem_beside_dense(self, kernel_forms):
+        # Clusters 30 apart rebuild a kernel with a sparse pattern, about
+        # 1/40 nonzero; a random pair at lam 0.1 keeps a dense one.
+        xs, xt = clustered_pair(1.0, size=5)
+        ys, yt = np.arange(200) % 3, np.random.default_rng(1).integers(0, 3, size=200)
+        rng = np.random.default_rng(2)
+        dense = (rng.normal(size=(30, 2)), np.arange(30) % 3, rng.normal(size=(12, 2)), np.arange(12) % 2)
+        problems = [(xs, ys, xt, yt), dense, (xs[:150], ys[:150], xt[::2], yt[::2])]
+        config = GradConfig(unroll_iterations=37)
+        results = otce.gradient._values_and_grads(problems, config)
+        assert "sparse" in kernel_forms and "dense" in kernel_forms
+        assert_each_alone(problems, results, config)
+
+    def test_overflowing_problem_beside_finite(self):
+        # At lam 1e-3 -cost/lam overflows on the far problem alone; the
+        # near one is solved as if alone.
+        rng = np.random.default_rng(3)
+        labels = np.arange(10) % 2
+        near = (rng.normal(size=(10, 2)), labels, rng.normal(size=(10, 2)), labels)
+        far = (1e153 * near[0], labels, near[2], labels)
+        config = GradConfig(sinkhorn=SinkhornConfig(lam=1e-3), unroll_iterations=5)
+        finite, overflow = otce.gradient._values_and_grads([near, far], config)
+        assert isinstance(overflow, NonFiniteGradient) and "overflows" in str(overflow)
+        assert_each_alone([near], [finite], config)
+
+
+class TestStepOrder:
+    # The steps of a stacked epoch are applied in step order, so the step
+    # that raises is the one the stepwise ascent raises at. Each step's
+    # evaluation is scripted: a value that falls by 0.2 a step, and a
+    # NonFiniteGradient at step ``failing``.
+
+    @staticmethod
+    def script(failing):
+        steps = itertools.count()
+
+        def evaluate(xs, ys, xt, yt, config):
+            step = next(steps)
+            if step == failing:
+                raise NonFiniteGradient(f"step {step}")
+            return -0.2 * step, np.zeros_like(xt)
+
+        def stacked(problems, config):
+            results = []
+            for problem in problems:
+                try:
+                    value, grad = evaluate(*problem, config)
+                except NonFiniteGradient as error:
+                    results.append(error)
+                else:
+                    results.append((value, grad, 0.0))
+            return results
+
+        return evaluate, stacked
+
+    @pytest.mark.parametrize("failing, error", [(11, DivergenceDetected), (9, NonFiniteGradient)])
+    def test_raises_at_stepwise_step(self, monkeypatch, failing, error):
+        # Steps 9, 10 and 11 make one epoch. The tenth consecutive drop is
+        # at step 10: a failure at step 11 is evaluated with it and never
+        # raised; one at step 9 is raised before the drop.
+        src, tgt = guidance_pair(0)
+        config = GradConfig(steps=30, seed=4)
+        evaluate, _ = self.script(failing)
+        with pytest.raises(error) as expected:
+            stepwise(src, tgt, config, evaluate)
+        _, stacked = self.script(failing)
+        monkeypatch.setattr(otce.gradient, "_values_and_grads", stacked)
+        with pytest.raises(error) as raised:
+            optimize_target_embeddings(src, tgt, config)
+        assert str(raised.value) == str(expected.value)

@@ -196,7 +196,7 @@ class TestSinkhorn:
             for solve in (
                 lambda: solo(cost, config),
                 lambda: ot.batched_sinkhorn([cost, cost[:, 1:]], config),
-                lambda: unrolled_sinkhorn(cost, config, 5),
+                lambda: unrolled_sinkhorn([cost], config, 5),
             ):
                 with pytest.raises(NumericalOverflow, match=f"lam={lam!r}"):
                     solve()
@@ -209,7 +209,7 @@ class TestSinkhorn:
             warnings.simplefilter("error")
             result = solo(cost, config)
             batch = ot.batched_sinkhorn([cost, cost[:, 1:]], config)
-            plan, _ = unrolled_sinkhorn(cost, config, 20)
+            [plan], _ = unrolled_sinkhorn([cost], config, 20)
         assert np.isfinite(result.coupling.values).all() and np.isfinite(result.transport_cost)
         assert np.isfinite(batch.transport_cost).all()
         assert plan.tobytes() == result.coupling.values.tobytes()
@@ -354,7 +354,7 @@ class TestFold:
             assert len(redos) <= 2 < len(absorptions) - len(redos)
             reference = lse_sinkhorn_plan(cost, self.CONFIG.lam, 300)
             assert np.abs(result.coupling.values - reference).max() <= 1e-12
-            plan, _ = unrolled_sinkhorn(cost, self.CONFIG, 300)
+            [plan], _ = unrolled_sinkhorn([cost], self.CONFIG, 300)
             assert plan.tobytes() == result.coupling.values.tobytes()
         absorptions.clear()
         redos.clear()
@@ -485,24 +485,16 @@ class TestStopEstimate:
         assert kinds[0] == "redone" and infinite[0]
         assert kinds.count("folded") >= 2 and kinds.count("kept") >= 200
 
-    def test_batch(self, monkeypatch):
-        # Each absorbing problem writes its F, G, u and v back into the
-        # stacks in place, so the state before each column half is copied
-        # as it stood.
-        states = []
-        take_v = ot._Batch._take_v
-
-        def copying(batch, v):
-            states.append([stack.copy() for stack in batch.before[1:]])
-            take_v(batch, v)
-
-        monkeypatch.setattr(ot._Batch, "_take_v", copying)
+    def test_batch(self):
+        # Each absorbing problem writes its F, G, u and v back into copies
+        # of the stacks, so ``before`` holds the state before each column
+        # half as it stood.
         costs = TestRedoPath.costs()
         batch = ot._Batch(costs, self.CONFIG.lam, absorb=True)
         kinds, infinite = [], []
         for _ in range(300):
             step(batch)
-            F, G, u, v = states.pop()
+            _, F, G, u, v = batch.before
             violations = []
             for k, (m, n) in enumerate(batch.shapes):
                 kinds.append(self.kind(batch.fresh[k, :n]))
@@ -640,6 +632,29 @@ def solo(cost, config):
     return sinkhorn(cost, uniform_marginal(m), uniform_marginal(n), config)
 
 
+class TestDenseBatch:
+    # A _Batch's dense products are each problem's 2-D einsum, to the bit,
+    # whatever the stack pads: rows, columns, or a one-column or one-row
+    # problem beside wider ones.
+    @pytest.mark.parametrize(
+        "shapes",
+        [[(30, 12), (30, 12), (30, 7)], [(30, 12), (30, 1), (30, 13)], [(20, 12), (1, 12), (30, 5)]],
+    )
+    def test_products_equal_2d(self, shapes):
+        rng = np.random.default_rng(5)
+        costs = [10.0 * rng.random(shape) for shape in shapes]
+        batch = ot._Batch(costs, 1.0, absorb=False)
+        v = 1.0 + rng.random(batch.v.shape)
+        u = 1.0 + rng.random(batch.u.shape)
+        rows, cols = batch._matvec(v, 0), batch._matvec(u, 1)
+        for k, (m, n) in enumerate(shapes):
+            kernel = np.exp(-costs[k])
+            assert rows[k, :m].tobytes() == np.einsum("ij,j->i", kernel, v[k, :n]).tobytes()
+            assert cols[k, :n].tobytes() == np.einsum("ij,i->j", kernel, u[k, :m]).tobytes()
+            # The padding's products are 1, so its scalings stay 1.
+            assert (rows[k, m:] == 1.0).all() and (cols[k, n:] == 1.0).all()
+
+
 class TestSparseBatch:
     # A batch whose problems all hold their patterns steps its padded
     # stack by one bincount over the stacked nonzeros, each problem's in
@@ -741,8 +756,8 @@ class TestSparseBatch:
         # Uniform costs up to 50 leave about 1/4 of a kernel nonzero,
         # above _SPARSE_SHARE, so the stack steps dense though the other
         # problems' rebuilds hold their patterns, and sparse once that
-        # problem has converged and left. Values agree with the solo
-        # solves to rounding.
+        # problem has converged and left. Each problem takes its own form's
+        # products, so values equal the solo solves' to the bit.
         wide = 50.0 * np.random.default_rng(0).random((200, 220))
         blocks = [*self.blocks(clustered_cost(3.0))[:3], wide]
         config = SinkhornConfig(lam=0.1, max_iterations=300)
@@ -756,9 +771,9 @@ class TestSparseBatch:
         assert batch.iterations.tolist() == [result.iterations for result in reference]
         assert batch.converged.tolist() == [result.converged for result in reference]
         expected = np.array([result.transport_cost for result in reference])
-        np.testing.assert_allclose(batch.transport_cost, expected, rtol=1e-12, atol=0)
+        assert batch.transport_cost.tobytes() == expected.tobytes()
         errors = np.array([result.final_marginal_error for result in reference])
-        np.testing.assert_allclose(batch.final_marginal_error, errors, rtol=1e-6, atol=0)
+        assert batch.final_marginal_error.tobytes() == errors.tobytes()
 
     def test_traced_peak_bounded(self):
         # While the stack steps sparse, a batched solve holds no dense
@@ -905,9 +920,9 @@ class TestErrorState:
             assert np.geterr() == self.CALLER
             ot.batched_sinkhorn([cost, cost[:20, :10], cost[5:, 2:]], config)
             assert np.geterr() == self.CALLER
-            plan, pullback = unrolled_sinkhorn(cost, config, 30)
+            [plan], pullback = unrolled_sinkhorn([cost], config, 30)
             assert np.geterr() == self.CALLER
-            pullback(np.ones_like(plan))
+            pullback([np.ones_like(plan)])
             assert np.geterr() == self.CALLER
             labels = np.arange(30) % 3
             f_otce_value_and_grad(
@@ -949,8 +964,8 @@ class TestErrorState:
         counts = []
         for iterations in (10, 50):
             entries.clear()
-            plan, pullback = unrolled_sinkhorn(cost, SinkhornConfig(lam=0.01), iterations)
-            pullback(np.ones_like(plan))
+            [plan], pullback = unrolled_sinkhorn([cost], SinkhornConfig(lam=0.01), iterations)
+            pullback([np.ones_like(plan)])
             counts.append(len(entries))
         for iterations in (100, 400):
             # A tolerance no plan meets runs the solve to its cap.
