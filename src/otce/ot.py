@@ -551,10 +551,10 @@ class _Batch(_Rule):
     (:meth:`_take_u`, :meth:`_take_v`). Whatever differs between problems
     runs per problem, through _Rule's own methods on a 2-D view of it
     (:meth:`problem`): the absorption of a scaling that leaves range
-    (:meth:`_absorb_one`) and the plan. An absorbing half-step writes into
-    copies of the stacks of potentials, scalings and absorption counts
-    (``absorptions``, one per problem), so the stacks that ``before``,
-    ``fresh`` or a tape hold are never overwritten.
+    (:meth:`_absorb_one`, counted per problem in ``absorptions``) and the
+    plan. An absorbing half-step first copies the stacks that something
+    still reads (``_SHARED``), so that ``fresh``, and a tape's records,
+    are never overwritten.
 
     Each problem's products are those of its 2-D rule, to the bit, in the
     form its kernel is held in. While every problem holds a pattern
@@ -768,12 +768,17 @@ class _Batch(_Rule):
         self.v = v
         self._absorb_each(self._rejects(v), _Rule._absorb_col)
 
+    # The stacks that an absorption writes into in place while something
+    # still reads them: the fresh v, which the stop estimate reads (a
+    # _Taped adds every stack its records hold).
+    _SHARED = ("v",)
+
     def _absorb_each(self, rejects, half) -> None:
-        """Absorb ``half`` on each rejecting problem, into copies of the stacks."""
+        """Absorb ``half`` on each rejecting problem, into copies of the
+        shared stacks."""
         if len(rejects):
-            self.F, self.G, self.u, self.v, self.absorptions = (
-                stack.copy() for stack in (self.F, self.G, self.u, self.v, self.absorptions)
-            )
+            for name in self._SHARED:
+                setattr(self, name, getattr(self, name).copy())
             for k in rejects:
                 self._absorb_one(k, half)
 
@@ -963,8 +968,10 @@ class _Taped(_Batch):
     softmax, kept, folded (to rounding) or redone. In log-domain mode the
     empty kernel of epoch 0 holds no half-step (see _Rule's start), so a
     problem's first record is of epoch 1. A record holds the stacks
-    themselves: an absorption writes into copies (see :class:`_Batch`).
+    themselves: an absorption writes into copies of them.
     """
+
+    _SHARED = ("F", "G", "u", "v", "absorptions")
 
     def __init__(self, *args):
         super().__init__(*args)

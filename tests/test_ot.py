@@ -485,16 +485,24 @@ class TestStopEstimate:
         assert kinds[0] == "redone" and infinite[0]
         assert kinds.count("folded") >= 2 and kinds.count("kept") >= 200
 
-    def test_batch(self):
-        # Each absorbing problem writes its F, G, u and v back into copies
-        # of the stacks, so ``before`` holds the state before each column
-        # half as it stood.
+    def test_batch(self, monkeypatch):
+        # Each absorbing problem writes its F, G, u and v back into the
+        # stacks in place, so the state before each column half that
+        # leaves range is copied as it stood.
+        states = []
+        take_v = ot._Batch._take_v
+
+        def copying(batch, v):
+            states.append([stack.copy() for stack in batch.before[1:]])
+            take_v(batch, v)
+
+        monkeypatch.setattr(ot._Batch, "_take_v", copying)
         costs = TestRedoPath.costs()
         batch = ot._Batch(costs, self.CONFIG.lam, absorb=True)
         kinds, infinite = [], []
         for _ in range(300):
             step(batch)
-            _, F, G, u, v = batch.before
+            F, G, u, v = states.pop() if states else batch.before[1:]
             violations = []
             for k, (m, n) in enumerate(batch.shapes):
                 kinds.append(self.kind(batch.fresh[k, :n]))
