@@ -990,10 +990,10 @@ class _Taped(_Batch):
         (row half) or nu (column half), so its adjoints are one matvec on
         that kernel, and its term of dkernel is the kernel times a
         rank-one product. The matvecs are one einsum each over a padded
-        stack of the problems' kernels, each of its own epoch; the adjoint
-        they read is a strided column of the factors below, whose sums the
-        einsum takes in sequence, so the zero padding adds exact zeros and
-        each problem's bits are those of a batch of it alone. A problem's
+        stack of the problems' kernels, each of its own epoch. Both sum in
+        sequence (the row one because it reads its adjoint as a strided
+        column of the factors below), so the zero padding adds exact zeros
+        and each problem's bits are those of a batch of it alone. A problem's
         terms of dkernel are collected per epoch and added once, when the
         walk leaves the epoch; each earlier epoch's kernel is rebuilt once,
         as its absorption built it, into the walk's own stack. No
