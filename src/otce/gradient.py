@@ -131,7 +131,9 @@ def f_otce_value_and_grad(
         raise NonFiniteValue("features must be finite")
     xs, xt = _check_features(xs, xt)
     if not (len(xs) and len(xt)):
-        raise DimensionMismatch(f"need at least one sample on each side, got cost {(len(xs), len(xt))}")
+        raise DimensionMismatch(
+            f"need at least one sample on each side, got cost {(len(xs), len(xt))}"
+        )
     (result,) = _values_and_grads([(xs, np.asarray(ys), xt, np.asarray(yt))], config)
     if isinstance(result, NonFiniteGradient):
         raise result
@@ -154,7 +156,9 @@ def _values_and_grads(problems: list, config: GradConfig) -> list:
         plans, pullback = unrolled_sinkhorn(costs, config.sinkhorn, config.unroll_iterations)
     except NumericalOverflow as exc:
         if len(problems) > 1:
-            return [result for problem in problems for result in _values_and_grads([problem], config)]
+            return [
+                result for problem in problems for result in _values_and_grads([problem], config)
+            ]
         error = NonFiniteGradient(str(exc))
         error.__cause__ = exc
         return [error]

@@ -731,7 +731,8 @@ class _Batch(_Rule):
         if work is None:
             if self.pattern is None:
                 self._layout()
-            product = _pattern_matvec(self.pattern, scaling, axis, (self.v if axis else self.u).shape)
+            shape = (self.v if axis else self.u).shape
+            product = _pattern_matvec(self.pattern, scaling, axis, shape)
         else:
             if axis:
                 product = np.einsum(self._KTU, work, scaling)

@@ -309,7 +309,9 @@ class TestUnrolledReverse:
 
         rules = []
         init = ot._Taped.__init__
-        monkeypatch.setattr(ot._Taped, "__init__", lambda rule, *args: rules.append(rule) or init(rule, *args))
+        monkeypatch.setattr(
+            ot._Taped, "__init__", lambda rule, *args: rules.append(rule) or init(rule, *args)
+        )
         [plan], pullback = unrolled_sinkhorn([cost], config, 40)
         # Whether each half-step of the forward was redone: it absorbed, so
         # the absorption count it tapes for the one problem moved on. A
@@ -381,7 +383,7 @@ class TestUnrolledReverse:
             m, n = cost.shape
             solved = ot.sinkhorn(cost, uniform_marginal(m), uniform_marginal(n), config)
             assert plan.tobytes() == solved.coupling.values.tobytes()
-            [alone], reverse = unrolled_sinkhorn([cost], config, 40)
+            _, reverse = unrolled_sinkhorn([cost], config, 40)
             assert reverse([dplan])[0].tobytes() == dcost.tobytes()
 
     # At lam = 0.01 the log-domain reverse rebuilds earlier epochs' kernels.
@@ -674,7 +676,9 @@ class TestStackedEpoch:
         xs, xt = clustered_pair(1.0, size=5)
         ys, yt = np.arange(200) % 3, np.random.default_rng(1).integers(0, 3, size=200)
         rng = np.random.default_rng(2)
-        dense = (rng.normal(size=(30, 2)), np.arange(30) % 3, rng.normal(size=(12, 2)), np.arange(12) % 2)
+        dense = (
+            rng.normal(size=(30, 2)), np.arange(30) % 3, rng.normal(size=(12, 2)), np.arange(12) % 2
+        )
         problems = [(xs, ys, xt, yt), dense, (xs[:150], ys[:150], xt[::2], yt[::2])]
         config = GradConfig(unroll_iterations=37)
         results = otce.gradient._values_and_grads(problems, config)

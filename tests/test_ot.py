@@ -646,7 +646,11 @@ class TestDenseBatch:
     # problem beside wider ones.
     @pytest.mark.parametrize(
         "shapes",
-        [[(30, 12), (30, 12), (30, 7)], [(30, 12), (30, 1), (30, 13)], [(20, 12), (1, 12), (30, 5)]],
+        [
+            [(30, 12), (30, 12), (30, 7)],
+            [(30, 12), (30, 1), (30, 13)],
+            [(20, 12), (1, 12), (30, 5)],
+        ],
     )
     def test_products_equal_2d(self, shapes):
         rng = np.random.default_rng(5)

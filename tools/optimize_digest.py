@@ -9,7 +9,7 @@ features' bytes:
 - the guidance acceptance test's (test_09) tasks, seeds 0-19.
 
 Two checkouts whose lines are equal take bit-identical ascents. Run from
-anywhere: ``python3 tools/optimize_digest.py``; about a minute on 2 cores.
+anywhere: ``python3 tools/optimize_digest.py``; about 30 s on 2 vCPUs.
 """
 
 from __future__ import annotations
