@@ -125,8 +125,8 @@ _metric_options = [
     click.option("--standardize", is_flag=True,
                  help="Standardize each feature dimension on pooled statistics."),
     click.option("--log-domain/--no-log-domain", default=True, show_default=True,
-                 help="Stabilized scaling with log-domain absorption vs plain "
-                      "scaling."),
+                 help="Stabilized scaling with log-domain absorption, the only "
+                      "mode: --no-log-domain (plain scaling) was removed and exits 2."),
 ]
 
 

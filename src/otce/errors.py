@@ -63,9 +63,8 @@ class TooLarge(InputError):
 
 
 class NumericalOverflow(NumericalError):
-    """Sinkhorn under/overflowed: -cost/lam is not finite, as when lam is
-    too small for the cost (in either mode), or a plain-scaling update
-    under/overflowed (retry with log_domain)."""
+    """-cost/lam, the exponent of every Sinkhorn kernel, is not finite:
+    lam is too small for the cost."""
 
 
 # -- rank evaluation -------------------------------------------------------
@@ -89,8 +88,8 @@ class MissingClass(InputError):
 
 
 class NonFiniteGradient(NumericalError):
-    """Gradient pipeline produced NaN/inf; lambda too small for the
-    instance. Retrying with log-domain iterations usually fixes it."""
+    """Gradient pipeline produced NaN/inf: lambda is too small for the
+    instance, so -cost/lam or the gradient overflows."""
 
 
 class DivergenceDetected(NumericalError):

@@ -121,8 +121,7 @@ def f_otce_value_and_grad(
         NonFiniteValue: a feature is NaN or infinite.
         NonFiniteGradient: the value, the gradient or the gradient's norm
             is not finite: -cost/lam overflows (a lambda too small for the
-            cost, in either mode), the gradient overflows, or plain-scaling
-            iterations under/overflowed (retry with log_domain=True).
+            cost) or the gradient overflows.
     """
     config = config or GradConfig()
     xs = np.asarray(xs, dtype=np.float64)
@@ -181,10 +180,7 @@ def _values_and_grads(problems: list, config: GradConfig) -> list:
         if math.isfinite(value) and math.isfinite(norm):
             results.append((value, grad, norm))
         else:
-            hint = "" if config.sinkhorn.log_domain else "; retry with log_domain=True"
-            results.append(
-                NonFiniteGradient(f"non-finite gradient (lam={config.sinkhorn.lam!r}){hint}")
-            )
+            results.append(NonFiniteGradient(f"non-finite gradient (lam={config.sinkhorn.lam!r})"))
     return results
 
 

@@ -3,21 +3,18 @@
 The solver minimizes ``sum(c * pi) - lam * H(pi)`` with
 ``H(pi) = -sum(pi * log(pi))`` over couplings with prescribed marginals.
 It iterates the scaling updates ``u = mu / (K v)``, ``v = nu / (K^T u)``
-on a kernel ``K = exp(-c/lam + F + G)``. By default (``log_domain``) the
-iteration is stabilized: whenever a scaling leaves ``[e^-_ABSORB,
-e^_ABSORB]``, it is absorbed into the log potentials F and G and the
-kernel is rebuilt (Schmitzer 2019, "Stabilized sparse scaling algorithms
-for entropy regularized transport", Alg. 2): folded in as it stands where
-the fold rule of :func:`_floor` allows, else with its half-update redone
-in log-sum-exp form (see :class:`_Rule`, which also says how the
-iteration starts). Plain scaling (``log_domain=False``) starts on
-``exp(-c/lam)``, never absorbs, keeps F = G = 0, and raises
-:class:`NumericalOverflow` when ``exp(-c/lam)`` degenerates; it is kept
-for cross-checking. A rebuilt kernel is exactly zero below a floor
-(:func:`_floor`) that leaves every half-update unchanged to the bit in
-practice; when few entries are left nonzero, the iteration steps over
-those alone (Schmitzer's sparse truncated kernel), in 2-D and, while
-every problem of a batch holds its nonzeros, over a batch's padded stack.
+on a kernel ``K = exp(-c/lam + F + G)``. The iteration is stabilized:
+whenever a scaling leaves ``[e^-_ABSORB, e^_ABSORB]``, it is absorbed
+into the log potentials F and G and the kernel is rebuilt (Schmitzer
+2019, "Stabilized sparse scaling algorithms for entropy regularized
+transport", Alg. 2): folded in as it stands where the fold rule of
+:func:`_floor` allows, else with its half-update redone in log-sum-exp
+form (see :class:`_Rule`, which also says how the iteration starts).
+A rebuilt kernel is exactly zero below a floor (:func:`_floor`) that
+leaves every half-update unchanged to the bit in practice; when few
+entries are left nonzero, the iteration steps over those alone
+(Schmitzer's sparse truncated kernel), in 2-D and, while every problem
+of a batch holds its nonzeros, over a batch's padded stack.
 
 The rule is written once, here: its kernel, its row and column
 half-updates in scaling and in log-sum-exp form, the plan, the cheap
@@ -104,9 +101,11 @@ class SinkhornConfig:
     max_iterations: hard cap on full update pairs. Default 1000.
     marginal_tolerance: stop once the L-infinity marginal violation of
         the current plan is at or below this; finite and > 0. Default 1e-9.
-    log_domain: stabilize the scaling updates by absorbing them into
-        log-domain potentials (default), instead of plain scaling, which
-        raises NumericalOverflow when exp(-cost/lam) degenerates.
+    log_domain: must be True, its default: the scaling updates are
+        always stabilized by absorbing them into log-domain potentials.
+        Plain scaling (False) was removed, and any value but True raises
+        ValueError. The field stays so that configs and reports that name
+        it keep working.
     """
 
     lam: float = 0.1
@@ -120,6 +119,11 @@ class SinkhornConfig:
         _check_real("lam", self.lam, 0.0, open_low=True)
         _check_integer("max_iterations", self.max_iterations, 1)
         _check_real("marginal_tolerance", self.marginal_tolerance, 0.0, open_low=True)
+        if self.log_domain is not True:
+            raise ValueError(
+                f"log_domain must be True, got {self.log_domain!r}: "
+                "plain scaling (log_domain=False) was removed"
+            )
 
 
 @dataclass(frozen=True)
@@ -233,8 +237,8 @@ _MARGIN = 20.0
 _FOLD_HI = float(np.exp(_ABSORB + _MARGIN / 2.0))
 
 
-# The kernel a log-domain rule starts on (see _Rule): a pattern with no
-# entries, read-only, as every rule shares it.
+# The kernel every rule starts on (see _Rule): a pattern with no entries,
+# read-only, as every rule shares it.
 _EMPTY = tuple(np.broadcast_to(dtype(0), (0,)) for dtype in (np.intp, np.intp, np.float64))
 
 
@@ -296,16 +300,11 @@ def _pattern_matvec(pattern, scaling: np.ndarray, axis: int, shape) -> np.ndarra
     return np.bincount(into, weights=weights, minlength=math.prod(shape)).reshape(shape)
 
 
-def _in_range(scaling: np.ndarray, axis=None):
-    """Whether the scalings lie in [e^-_ABSORB, e^_ABSORB]: all of them,
-    or those of each problem along ``axis``. _Rule.step tests a whole
-    scaling inline."""
-    # NaN fails both comparisons. A whole-array test that fails the lower
-    # bound is decided without the second reduction.
-    inside = _SCALING_LO <= scaling.min(axis=axis)
-    if axis is None and not inside:
-        return False
-    return inside & (scaling.max(axis=axis) <= _SCALING_HI)
+def _in_range(scaling: np.ndarray) -> np.ndarray:
+    """Whether the scalings of each problem, along the last axis, lie in
+    [e^-_ABSORB, e^_ABSORB]. _Rule.step tests a whole scaling inline."""
+    # NaN fails both comparisons.
+    return (_SCALING_LO <= scaling.min(axis=-1)) & (scaling.max(axis=-1) <= _SCALING_HI)
 
 
 class _Rule:
@@ -313,21 +312,17 @@ class _Rule:
     K = exp(-cost/lam + F + G), held in ``work``.
 
     F and G are absorbed log potentials; the effective potentials are
-    f = F + log u and g = G + log v. With ``absorb`` (log-domain mode) a
-    fresh scaling that leaves [e^-_ABSORB, e^_ABSORB] is absorbed: the
-    effective potentials become F and G, u and v are reset to 1 and K is
-    rebuilt, exactly zero below a floor (see :func:`_floor`). A scaling
-    that the fold rule of :func:`_floor` admits is folded in as it stands
-    (:func:`_foldable`). Any other is dropped and its half-update redone
-    in log-sum-exp form from the effective potentials (with ``work`` as
-    its workspace). Every half-update is thus the exact Sinkhorn step,
-    to the bit in practice. Without ``absorb`` (plain scaling) F = G = 0,
-    the kernel exp(-cost/lam) is unclamped, so honest underflow to zero
-    shows up in the finite check of each half-update, which raises
-    NumericalOverflow.
+    f = F + log u and g = G + log v. A fresh scaling that leaves
+    [e^-_ABSORB, e^_ABSORB] is absorbed: the effective potentials become
+    F and G, u and v are reset to 1 and K is rebuilt, exactly zero below
+    a floor (see :func:`_floor`). A scaling that the fold rule of
+    :func:`_floor` admits is folded in as it stands (:func:`_foldable`).
+    Any other is dropped and its half-update redone in log-sum-exp form
+    from the effective potentials (with ``work`` as its workspace). Every
+    half-update is thus the exact Sinkhorn step, to the bit in practice.
 
-    The start: a log-domain rule starts on the empty kernel (``_EMPTY``,
-    set by :meth:`on`), whose first row scalings are infinite. So its
+    The start: a rule starts on the empty kernel (``_EMPTY``, set by
+    :meth:`on`), whose first row scalings are infinite. So its
     first row half is redone, and that absorption first builds K; its
     first column half is redone too if some column keeps no entry above
     the floor. After the start a redo is rare: in practice every later
@@ -345,14 +340,11 @@ class _Rule:
     from it by rounding.
     """
 
-    def __init__(
-        self, kernel, work, mu, nu, log_mu, log_nu, lam: float, absorb: bool, F, G, u, v
-    ):
+    def __init__(self, kernel, work, mu, nu, log_mu, log_nu, lam: float, F, G, u, v):
         """The rule on prepared arrays: ``kernel`` is -cost/lam, ``work``
         holds K, ``log_mu`` and ``log_nu`` are the logs of the marginals,
         F and G are the absorbed log potentials and u, v the scalings."""
         self.lam = lam
-        self.absorb = absorb
         self.pattern = None
         self.absorptions = 0
         self.kernel = kernel
@@ -364,21 +356,16 @@ class _Rule:
         self.F, self.G, self.u, self.v = F, G, u, v
 
     @classmethod
-    def on(cls, cost: np.ndarray, mu: np.ndarray, nu: np.ndarray, lam: float, absorb: bool):
+    def on(cls, cost: np.ndarray, mu: np.ndarray, nu: np.ndarray, lam: float):
         """The rule at the start of a solve on ``cost``: F = G = 0, u = v = 1,
-        on exp(-cost/lam) in plain scaling and on the empty kernel in
-        log-domain mode (see the class docstring)."""
+        on the empty kernel (see the class docstring)."""
         kernel = _neg_cost(cost, lam)
-        work = np.empty_like(kernel)
-        if not absorb:
-            np.exp(kernel, out=work)
         m, n = kernel.shape
         rule = cls(
-            kernel, work, mu, nu, np.log(mu), np.log(nu), lam, absorb,
+            kernel, np.empty_like(kernel), mu, nu, np.log(mu), np.log(nu), lam,
             np.zeros(m), np.zeros(n), np.ones(m), np.ones(n),
         )
-        if absorb:
-            rule.pattern = _EMPTY
+        rule.pattern = _EMPTY
         return rule
 
     # Matvec subscripts; _Batch prefixes them with its problem axis.
@@ -418,16 +405,14 @@ class _Rule:
         return _pattern_matvec(self.pattern, scaling, axis, (self.v if axis else self.u).shape)
 
     def _take_u(self, u: np.ndarray) -> None:
-        """Take a fresh u outside the range (see :meth:`_absorbs`)."""
+        """Take a fresh u outside the range: absorb it."""
         self.u = u
-        if self._absorbs(u):
-            self._absorb_row()
+        self._absorb_row()
 
     def _take_v(self, v: np.ndarray) -> None:
-        """Take a fresh v outside the range (see :meth:`_absorbs`)."""
+        """Take a fresh v outside the range: absorb it."""
         self.v = v
-        if self._absorbs(v):
-            self._absorb_col()
+        self._absorb_col()
 
     def _absorb_row(self) -> None:
         """Absorb the row half-update whose fresh u is in place: u folded
@@ -476,19 +461,6 @@ class _Rule:
         plan = np.zeros((self.u.size, self.v.size))
         plan[rows, cols] = data * self.u[rows] * self.v[cols]
         return plan
-
-    def _absorbs(self, scaling: np.ndarray) -> bool:
-        """Whether a fresh scaling outside the range is absorbed into the
-        potentials: always in log-domain mode. Plain scaling keeps it if it
-        is finite and raises NumericalOverflow if not."""
-        if self.absorb:
-            return True
-        if not np.isfinite(scaling).all():
-            raise NumericalOverflow(
-                "scaling-mode Sinkhorn under/overflowed "
-                f"(lam={self.lam!r}); retry with log_domain=True"
-            )
-        return False
 
     def _absorb(self, f: np.ndarray, g: np.ndarray) -> None:
         """Make f, g the absorbed potentials, rebuild K in place and pick
@@ -558,8 +530,8 @@ class _Batch(_Rule):
 
     Each problem's products are those of its 2-D rule, to the bit, in the
     form its kernel is held in. While every problem holds a pattern
-    (``parts``: its last rebuild's, or the empty kernel's at a log-domain
-    start), the matvecs are one bincount over a stacked pattern
+    (``parts``: its last rebuild's, or the empty kernel's at the start),
+    the matvecs are one bincount over a stacked pattern
     (:meth:`_layout`), which holds each problem's nonzeros in its own
     row-major order. Otherwise the batch holds the padded dense stack
     ``work``, whose padding is zero. Its column matvec is one einsum,
@@ -575,7 +547,7 @@ class _Batch(_Rule):
     _KV = "bij,bj->bi"
     _KTU = "bij,bi->bj"
 
-    def __init__(self, costs: list[np.ndarray], lam: float, absorb: bool):
+    def __init__(self, costs: list[np.ndarray], lam: float):
         self.shapes = [cost.shape for cost in costs]
         # Each problem's -cost/lam, contiguous: only per-problem steps read
         # it. One buffer holds them all, so it is freed in one piece.
@@ -594,7 +566,7 @@ class _Batch(_Rule):
             mu[k, :m] = uniform_marginal(m)
             nu[k, :n] = uniform_marginal(n)
         super().__init__(
-            None, None, mu, nu, np.log(mu), np.log(nu), lam, absorb,
+            None, None, mu, nu, np.log(mu), np.log(nu), lam,
             np.zeros_like(mu), np.zeros_like(nu), np.ones_like(mu), np.ones_like(nu),
         )
         self.absorptions = np.zeros(count, dtype=np.intp)
@@ -602,13 +574,8 @@ class _Batch(_Rule):
         self.scratch = np.empty(max(sizes))
         # Each problem's pattern in its own indices, or None while its
         # kernel is dense.
-        self.parts = [_EMPTY if absorb else None] * count
-        if absorb:
-            self._layout()
-        else:
-            self._hold()
-            for k, (m, n) in enumerate(self.shapes):
-                np.exp(self.kernels[k], out=self.work[k, :m, :n])
+        self.parts = [_EMPTY] * count
+        self._layout()
 
     def _group(self) -> None:
         """What the shapes fix: ``pads``, per axis 1 in the padding of the
@@ -643,7 +610,7 @@ class _Batch(_Rule):
         rule = _Rule(
             self.kernels[k], None if self.work is None else self.work[k, :m, :n],
             self.mu[k, :m], self.nu[k, :n], self.log_mu[k, :m], self.log_nu[k, :n],
-            self.lam, self.absorb, self.F[k, :m], self.G[k, :n], self.u[k, :m], self.v[k, :n],
+            self.lam, self.F[k, :m], self.G[k, :n], self.u[k, :m], self.v[k, :n],
         )
         rule.pattern = self.parts[k]
         return rule
@@ -753,30 +720,23 @@ class _Batch(_Rule):
         # Not in place: on the empty kernel, bincount's sums are integers.
         return product if pad is None else product + pad
 
-    def _rejects(self, scaling: np.ndarray):
-        """Problems whose fresh scaling is outside the range and absorbed."""
-        # In scaling mode _absorbs raises NumericalOverflow or keeps them
-        # all, so only log-domain problems return.
-        if not self._absorbs(scaling):
-            return ()
-        return np.flatnonzero(~_in_range(scaling, axis=-1))
-
     def _take_u(self, u: np.ndarray) -> None:
         self.u = u
-        self._absorb_each(self._rejects(u), _Rule._absorb_row)
+        self._absorb_each(u, _Rule._absorb_row)
 
     def _take_v(self, v: np.ndarray) -> None:
         self.v = v
-        self._absorb_each(self._rejects(v), _Rule._absorb_col)
+        self._absorb_each(v, _Rule._absorb_col)
 
     # The stacks that an absorption writes into in place while something
     # still reads them: the fresh v, which the stop estimate reads (a
     # _Taped adds every stack its records hold).
     _SHARED = ("v",)
 
-    def _absorb_each(self, rejects, half) -> None:
-        """Absorb ``half`` on each rejecting problem, into copies of the
-        shared stacks."""
+    def _absorb_each(self, scaling: np.ndarray, half) -> None:
+        """Absorb ``half`` on each problem whose fresh ``scaling`` is outside
+        the range, into copies of the shared stacks."""
+        rejects = np.flatnonzero(~_in_range(scaling))
         if len(rejects):
             for name in self._SHARED:
                 setattr(self, name, getattr(self, name).copy())
@@ -852,8 +812,7 @@ def sinkhorn(
             not sum to 1 within 1e-12 or contain non-positive mass, or
             cost is empty or not finite.
         NumericalOverflow: ``-cost/lam`` is not finite (lam too small
-            for the cost); or, in scaling mode only, ``exp(-c/lam)``
-            collapses, and callers should retry with ``log_domain=True``.
+            for the cost).
     """
     config = config or SinkhornConfig()
     cost = _check_cost(cost)
@@ -861,7 +820,7 @@ def sinkhorn(
     nu = np.asarray(nu, dtype=np.float64)
     _check_marginals(cost, mu, nu)
 
-    rule = _Rule.on(cost, mu, nu, config.lam, absorb=config.log_domain)
+    rule = _Rule.on(cost, mu, nu, config.lam)
     ((_, plan, iterations, error),) = _stops(rule, [0], config)
     support = None if rule.pattern is None else rule.pattern[:2]
     # The rule is freed before the result is scored, which allocates
@@ -917,9 +876,7 @@ def batched_sinkhorn(costs, config: SinkhornConfig) -> BatchResult:
     )
     for batch in _batches([cost.shape for cost in costs]):
         # Held by the driver alone, the stacks are freed before the next batch.
-        stops = _stops(
-            _Batch([costs[b] for b in batch], config.lam, absorb=config.log_domain), batch, config
-        )
+        stops = _stops(_Batch([costs[b] for b in batch], config.lam), batch, config)
         for b, plan, iterations, error in stops:
             result.transport_cost[b] = transport_cost(plan, costs[b])
             result.iterations[b] = iterations
@@ -966,10 +923,10 @@ class _Taped(_Batch):
     index, a column half at each odd one. The epochs are the problems'
     absorption counts, so each names the kernel that its problem's F and
     G build; that kernel times u v^T, over mu or nu, is the half-step's
-    softmax, kept, folded (to rounding) or redone. In log-domain mode the
-    empty kernel of epoch 0 holds no half-step (see _Rule's start), so a
-    problem's first record is of epoch 1. A record holds the stacks
-    themselves: an absorption writes into copies of them.
+    softmax, kept, folded (to rounding) or redone. The empty kernel of
+    epoch 0 holds no half-step (see _Rule's start), so a problem's first
+    record is of epoch 1. A record holds the stacks themselves: an
+    absorption writes into copies of them.
     """
 
     _SHARED = ("F", "G", "u", "v", "absorptions")
@@ -1100,7 +1057,7 @@ def unrolled_sinkhorn(costs: list[np.ndarray], config: SinkhornConfig, iteration
     Raises:
         NumericalOverflow: as in :func:`sinkhorn`, for any of the costs.
     """
-    rule = _Taped(costs, config.lam, config.log_domain)
+    rule = _Taped(costs, config.lam)
     # The steps' error state (see the module docstring).
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(iterations):

@@ -12,8 +12,8 @@ def rng():
 @pytest.fixture
 def absorptions(monkeypatch):
     """Records each absorption of the Sinkhorn rule, folded or redone. A
-    log-domain solve's first row half is one, and its first column half
-    another if out of range.
+    solve's first row half is one, and its first column half another if
+    out of range.
 
     Each entry is the absorbing problem's -cost/lam array, which tells
     the problems of a batch apart.

@@ -155,22 +155,6 @@ class TestScore:
         )
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("metric", ["f-otce", "jc-otce"])
-    def test_overflow_exit_3(self, runner, tmp_path, metric):
-        # outlier source sample far from every target: its scaling-mode
-        # kernel row underflows to zero (for jc-otce first in the class-1
-        # pair of the label-distance batch)
-        src = make_set([[0.0], [0.5], [1e4]], [0, 0, 1])
-        tgt = make_set([[0.0], [0.5], [1.0]], [0, 0, 1])
-        sp, tp = tmp_path / "s.ftrs", tmp_path / "t.ftrs"
-        write_feature_file(src, sp)
-        write_feature_file(tgt, tp)
-        result = invoke(
-            runner, "score", "--metric", metric, "--source", sp, "--target", tp,
-            "--lambda", 1e-3, "--no-log-domain",
-        )
-        assert result.exit_code == 3
-
     @pytest.mark.parametrize("options", [
         ("--metric", "f-otce", "--lambda", 0),
         ("--metric", "f-otce", "--lambda", "nan"),
@@ -179,6 +163,8 @@ class TestScore:
         ("--metric", "jc-otce", "--gamma", 2),
         # nce takes neither option, but its report echoes both.
         ("--metric", "nce", "--lambda", "nan"),
+        # Plain scaling was removed.
+        ("--metric", "f-otce", "--no-log-domain"),
     ])
     def test_invalid_option_exit_2(self, runner, task_files, options):
         src, tgt = task_files
@@ -234,7 +220,9 @@ class TestRank:
         result = invoke(runner, "rank", "--target", tgt_path, "--sources", empty)
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("options", [("--lambda", "inf"), ("--gamma", -1)])
+    @pytest.mark.parametrize(
+        "options", [("--lambda", "inf"), ("--gamma", -1), ("--no-log-domain",)]
+    )
     def test_invalid_option_exit_2(self, runner, tmp_path, rng, options):
         tgt_path = tmp_path / "t.ftrs"
         write_feature_file(well_separated_set(rng, n=8, classes=2), tgt_path)
@@ -272,6 +260,24 @@ class TestRank:
         assert result.stderr.strip() == (
             f"error: {sources / 'wide.ftrs'}: feature dimensions differ: 4 vs 3"
         )
+
+    def test_overflowing_source_exit_3_names_file(self, runner, tmp_path, rng):
+        # -cost/lam overflows on every source, so the first one scored
+        # fails; the error names it, and the exit code stays 3.
+        tgt_path = tmp_path / "t.ftrs"
+        write_feature_file(well_separated_set(rng, n=8, classes=2), tgt_path)
+        sources = tmp_path / "zoo"
+        sources.mkdir()
+        for name in ("a", "b"):
+            write_feature_file(well_separated_set(rng, n=8, classes=2), sources / f"{name}.ftrs")
+        result = invoke(
+            runner, "rank", "--target", tgt_path, "--sources", sources, "--lambda", 1e-308
+        )
+        assert result.exit_code == 3 and result.stdout == ""
+        assert result.stderr.strip() == (
+            f"numerical failure: {sources / 'a.ftrs'}: -cost/lam overflows (lam=1e-308)"
+        )
+        assert "retry" not in result.stderr
 
 
 class TestCorr:
@@ -360,7 +366,7 @@ class TestOptimize:
     def test_overflowing_gradient_exit_3(self, tmp_path):
         # At lam 1e-300 -cost/lam is finite, but the gradient overflows. Run
         # with every RuntimeWarning an error, the report is exit 3, with no
-        # retry hint, as log-domain iterations are on, and no warning.
+        # retry hint and no warning.
         src, tgt = generate_task_pair(SyntheticTaskSpec(
             classes=3, dim=2, samples_per_class=10, centroid_separation=4.0,
             domain_shift=1.0, seed=1,

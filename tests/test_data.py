@@ -127,3 +127,13 @@ def test_real_fields_finite_real_numbers(make, valid):
             make(bad)
     for good in (valid, np.int64(valid), float(valid), np.float64(valid), np.float32(valid)):
         make(good)
+
+
+@pytest.mark.parametrize("value", [False, 0, "yes"])
+def test_plain_scaling_rejected(value):
+    # Plain scaling was removed: a value that once selected it (False, 0),
+    # or that a truth test would take as on ("yes"), raises rather than
+    # being ignored.
+    with pytest.raises(ValueError, match=r"plain scaling \(log_domain=False\) was removed"):
+        SinkhornConfig(log_domain=value)
+    assert SinkhornConfig(log_domain=True).log_domain is True

@@ -115,12 +115,12 @@ class TestValueAndGrad:
         shifted, _ = f_otce_value_and_grad(xs + offset, ys, xt + offset, yt, config)
         assert abs(value - shifted) <= 1e-9
 
-    # scaling runs at a lambda where its kernel is healthy
-    @pytest.mark.parametrize("log_domain, lam", [(True, 0.1), (False, 0.5)])
-    def test_value_equals_f_otce_at_fixed_iterations(self, rng, log_domain, lam):
+    # At lam = 0.5 the kernel is dense, and no step after the start absorbs.
+    @pytest.mark.parametrize("lam", [0.1, 0.5])
+    def test_value_equals_f_otce_at_fixed_iterations(self, rng, lam):
         xs, ys, xt, yt = random_instance(rng, m=7, n=6, classes=3)
         k = 37
-        solver = SinkhornConfig(lam=lam, log_domain=log_domain)
+        solver = SinkhornConfig(lam=lam)
         value, _ = f_otce_value_and_grad(
             xs, ys, xt, yt, GradConfig(sinkhorn=solver, unroll_iterations=k)
         )
@@ -128,10 +128,7 @@ class TestValueAndGrad:
             make_set(xs, ys, classes=3),
             make_set(xt, yt, classes=3),
             MetricConfig(
-                sinkhorn=SinkhornConfig(
-                    lam=lam, max_iterations=k, marginal_tolerance=1e-300,
-                    log_domain=log_domain,
-                )
+                sinkhorn=SinkhornConfig(lam=lam, max_iterations=k, marginal_tolerance=1e-300)
             ),
         ).value
         assert value == reference
@@ -155,49 +152,20 @@ class TestValueAndGrad:
         solved = ot.sinkhorn(cost, uniform_marginal(200), uniform_marginal(200), solver)
         assert plan.tobytes() == solved.coupling.values.tobytes()
 
-    def test_scaling_mode_gradient(self, rng):
-        # moderate lambda keeps the scaling kernel healthy
+    def test_underflowing_kernel_gradient_finite(self, rng):
+        # At lam = 1e-6, exp(-cost/lam) underflows to zero but for a few
+        # entries, which the absorptions survive.
         xs, ys, xt, yt = random_instance(rng)
-        config = GradConfig(
-            sinkhorn=SinkhornConfig(lam=0.5, log_domain=False), unroll_iterations=40
-        )
-        _, grad = f_otce_value_and_grad(xs, ys, xt, yt, config)
-        numeric = finite_difference(xs, ys, xt, yt, config)
-        assert_grad_close(grad, numeric)
-
-    def test_scaling_mode_overflow_raises(self, rng):
-        xs, ys, xt, yt = random_instance(rng)
-        bad = GradConfig(
-            sinkhorn=SinkhornConfig(lam=1e-6, log_domain=False), unroll_iterations=20
-        )
-        with pytest.raises(NonFiniteGradient):
-            f_otce_value_and_grad(100 * xs, ys, 100 * xt, yt, bad)
-        good = GradConfig(
-            sinkhorn=SinkhornConfig(lam=1e-6, log_domain=True), unroll_iterations=20
-        )
-        value, grad = f_otce_value_and_grad(100 * xs, ys, 100 * xt, yt, good)
+        config = GradConfig(sinkhorn=SinkhornConfig(lam=1e-6), unroll_iterations=20)
+        value, grad = f_otce_value_and_grad(100 * xs, ys, 100 * xt, yt, config)
         assert np.isfinite(value) and np.isfinite(grad).all()
 
     def test_kernel_overflow_raises_without_retry_hint(self, rng):
-        # -cost/lam overflows in either mode, so no retry is suggested.
+        # -cost/lam overflows, which no retry fixes, so none is suggested.
         xs, ys, xt, yt = random_instance(rng)
-        for log_domain in (True, False):
-            config = GradConfig(
-                sinkhorn=SinkhornConfig(lam=1e-308, log_domain=log_domain), unroll_iterations=5
-            )
-            with pytest.raises(NonFiniteGradient, match=r"overflows \(lam=1e-308\)$"):
-                f_otce_value_and_grad(xs, ys, xt, yt, config)
-
-    def test_log_and_scaling_agree(self, rng):
-        xs, ys, xt, yt = random_instance(rng)
-        log_cfg = GradConfig(sinkhorn=SinkhornConfig(lam=0.5), unroll_iterations=60)
-        scale_cfg = GradConfig(
-            sinkhorn=SinkhornConfig(lam=0.5, log_domain=False), unroll_iterations=60
-        )
-        v1, g1 = f_otce_value_and_grad(xs, ys, xt, yt, log_cfg)
-        v2, g2 = f_otce_value_and_grad(xs, ys, xt, yt, scale_cfg)
-        assert v1 == pytest.approx(v2, abs=1e-10)
-        assert np.abs(g1 - g2).max() < 1e-8
+        config = GradConfig(sinkhorn=SinkhornConfig(lam=1e-308), unroll_iterations=5)
+        with pytest.raises(NonFiniteGradient, match=r"overflows \(lam=1e-308\)$"):
+            f_otce_value_and_grad(xs, ys, xt, yt, config)
 
 
 class TestInputValidation:
@@ -250,11 +218,9 @@ def log_sum_exp_walk(cost, config, iterations, dplan):
     """Plan and d(cost) of ``iterations`` unrolled steps, the reverse walked
     in log-sum-exp form at every half-step on the effective potentials."""
     m, n = cost.shape
-    rule = ot._Rule.on(
-        cost, uniform_marginal(m), uniform_marginal(n), config.lam, absorb=config.log_domain
-    )
+    rule = ot._Rule.on(cost, uniform_marginal(m), uniform_marginal(n), config.lam)
     fs, gs = [], [rule.G]
-    # The steps' error state: a log-domain start divides by zero.
+    # The steps' error state: the start divides by zero.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(iterations):
             rule.step()
@@ -281,22 +247,22 @@ def log_sum_exp_walk(cost, config, iterations, dplan):
 
 
 class TestUnrolledReverse:
-    # (row half redone, column half redone) of a step. On this 30 x 12
-    # instance the log-domain runs have steps of both mixed kinds; a keep
-    # range narrowed to [e^-1, e^1] also redoes both halves of some steps.
-    # Plain scaling never redoes a half-step.
+    # The (row half redone, column half redone) kinds of the steps after
+    # the first. On this 30 x 12 instance the runs at lam <= 0.01 have
+    # steps of both mixed kinds; a keep range narrowed to [e^-1, e^1] also
+    # redoes both halves of some steps; at lam = 0.5 the kernel is dense
+    # and every step after the first keeps both halves.
     @pytest.mark.parametrize(
-        "log_domain, lam, scale, keep, patterns",
+        "lam, scale, keep, patterns",
         [
-            (True, 0.01, 1.0, 30.0, {(False, True), (True, False)}),
-            (True, 1e-3, 0.2, 30.0, {(False, True), (True, False)}),
-            (True, 0.1, 1.0, 1.0, {(False, False), (False, True), (True, False), (True, True)}),
-            (False, 0.5, 1.0, 30.0, {(False, False)}),
+            (0.01, 1.0, 30.0, {(False, False), (False, True), (True, False)}),
+            (1e-3, 0.2, 30.0, {(False, False), (False, True), (True, False)}),
+            (0.1, 1.0, 1.0, {(False, False), (False, True), (True, False), (True, True)}),
+            (0.5, 1.0, 30.0, {(False, False)}),
         ],
+        ids=["mixed", "mixed-small-lam", "narrow-keep", "kept"],
     )
-    def test_pullback_matches_log_sum_exp_walk(
-        self, monkeypatch, log_domain, lam, scale, keep, patterns
-    ):
+    def test_pullback_matches_log_sum_exp_walk(self, monkeypatch, lam, scale, keep, patterns):
         monkeypatch.setattr(ot, "_SCALING_LO", np.exp(-keep))
         monkeypatch.setattr(ot, "_SCALING_HI", np.exp(keep))
         rng = np.random.default_rng(0)
@@ -304,7 +270,7 @@ class TestUnrolledReverse:
             scale * rng.normal(size=(30, 2)), scale * rng.normal(size=(12, 2))
         )
         dplan = rng.normal(size=cost.shape)
-        config = SinkhornConfig(lam=lam, log_domain=log_domain)
+        config = SinkhornConfig(lam=lam)
         reference_plan, reference = log_sum_exp_walk(cost, config, 40, dplan)
 
         rules = []
@@ -314,12 +280,11 @@ class TestUnrolledReverse:
         )
         [plan], pullback = unrolled_sinkhorn([cost], config, 40)
         # Whether each half-step of the forward was redone: it absorbed, so
-        # the absorption count it tapes for the one problem moved on. A
-        # log-domain rule starts on the empty kernel, so its first row half
-        # is redone; the mixes are counted over the steps after the first.
+        # the absorption count it tapes for the one problem moved on. The
+        # rule starts on the empty kernel, so its first row half is redone.
         epochs = [0] + [int(record[0][0]) for record in rules[0].tape]
         redone = [after != before for before, after in zip(epochs, epochs[1:])]
-        assert len(redone) == 2 * 40 and redone[0] == log_domain
+        assert len(redone) == 2 * 40 and redone[0]
         steps = set(zip(redone[2::2], redone[3::2]))
 
         builds = []
@@ -333,10 +298,9 @@ class TestUnrolledReverse:
 
         assert plan.tobytes() == reference_plan.tobytes()
         assert np.abs(dcost - reference).max() <= 1e-12 * np.abs(reference).max()
-        assert patterns <= steps
-        assert log_domain or not any(redone)
+        assert steps == patterns
         # Every epoch but the last is rebuilt once: one per absorption
-        # after the first, and none in plain scaling.
+        # after the first.
         assert len(builds) == sum(redone[1:])
 
     def test_forced_redo_matches_log_sum_exp_walk(self, monkeypatch, zeroed_row):
@@ -368,16 +332,16 @@ class TestUnrolledReverse:
     @pytest.mark.parametrize(
         "shapes", [[(30, 12), (30, 12), (30, 7)], [(30, 12), (30, 1)], [(20, 12), (1, 12), (30, 5)]]
     )
-    @pytest.mark.parametrize("log_domain, lam", [(True, 0.01), (False, 0.5)])
-    def test_stacked_equals_alone(self, shapes, log_domain, lam):
+    # At lam = 0.5 every step after the start keeps both halves.
+    @pytest.mark.parametrize("lam", [0.01, 0.5])
+    def test_stacked_equals_alone(self, shapes, lam):
         rng = np.random.default_rng(4)
         costs = [
             squared_euclidean_cost(rng.normal(size=(m, 2)), rng.normal(size=(n, 2)))
             for m, n in shapes
         ]
         dplans = [rng.normal(size=shape) for shape in shapes]
-        config = SinkhornConfig(lam=lam, max_iterations=40, marginal_tolerance=1e-300,
-                                log_domain=log_domain)
+        config = SinkhornConfig(lam=lam, max_iterations=40, marginal_tolerance=1e-300)
         plans, pullback = unrolled_sinkhorn(costs, config, 40)
         for cost, plan, dplan, dcost in zip(costs, plans, dplans, pullback(dplans)):
             m, n = cost.shape
@@ -386,9 +350,8 @@ class TestUnrolledReverse:
             _, reverse = unrolled_sinkhorn([cost], config, 40)
             assert reverse([dplan])[0].tobytes() == dcost.tobytes()
 
-    # At lam = 0.01 the log-domain reverse rebuilds earlier epochs' kernels.
-    @pytest.mark.parametrize("log_domain, lam", [(True, 0.01), (False, 0.5)])
-    def test_solve_freed_without_cycle_collection(self, monkeypatch, log_domain, lam):
+    @pytest.mark.parametrize("lam", [0.01, 0.5])
+    def test_solve_freed_without_cycle_collection(self, monkeypatch, lam):
         rng = np.random.default_rng(1)
         cost = squared_euclidean_cost(rng.normal(size=(30, 2)), rng.normal(size=(12, 2)))
         rules = []
@@ -400,7 +363,7 @@ class TestUnrolledReverse:
         monkeypatch.setattr(ot._Taped, "__init__", recorded_init)
         gc.disable()
         try:
-            config = SinkhornConfig(lam=lam, log_domain=log_domain)
+            config = SinkhornConfig(lam=lam)
             [plan], pullback = unrolled_sinkhorn([cost], config, 40)
             pullback([np.ones_like(plan)])
             [rule] = rules
@@ -572,7 +535,7 @@ def forward_value(problem, config):
     xs, ys, xt, yt = problem
     solver = SinkhornConfig(
         lam=config.sinkhorn.lam, max_iterations=config.unroll_iterations,
-        marginal_tolerance=1e-300, log_domain=config.sinkhorn.log_domain,
+        marginal_tolerance=1e-300,
     )
     return f_otce(make_set(xs, ys), make_set(xt, yt), MetricConfig(sinkhorn=solver)).value
 
@@ -642,13 +605,6 @@ class TestStackedEpoch:
         # 51 targets: a last batch of one, beside batches of 25 columns.
         src, tgt = guidance_pair(2, per_class=17)
         assert self.run(monkeypatch, src, tgt, self.CONFIG) == [3, 3, 1]
-
-    def test_plain_scaling(self, monkeypatch):
-        config = GradConfig(
-            sinkhorn=SinkhornConfig(lam=0.5, log_domain=False), steps=7,
-            learning_rate=5.0, unroll_iterations=30, seed=3,
-        )
-        assert self.run(monkeypatch, *guidance_pair(3), config) == [3, 3, 1]
 
     def test_redone_half_steps(self, monkeypatch, redos):
         # A keep range narrowed to [e^-1, e^1], and the fold bound with it:

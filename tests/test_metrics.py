@@ -246,14 +246,13 @@ class TestLabelDistanceMatrix:
         assert np.isfinite(distances[0]).all()
         assert np.isfinite(distances[2]).all()
 
-    @pytest.mark.parametrize("log_domain", [True, False])
     @pytest.mark.parametrize("lam", [0.1, 0.005])
-    def test_batch_equals_per_pair_sinkhorn(self, absorptions, rng, lam, log_domain):
+    def test_batch_equals_per_pair_sinkhorn(self, absorptions, rng, lam):
         # Unequal class sizes with singletons on both sides; class 1 is
         # absent from the source and class 3 from the target.
         src = make_set(rng.random((33, 2)), np.repeat([0, 2, 3, 4], [1, 9, 11, 12]), classes=5)
         tgt = make_set(rng.random((25, 2)) + 0.2, np.repeat([0, 1, 2, 4], [6, 1, 8, 10]), classes=5)
-        config = SinkhornConfig(lam=lam, max_iterations=3000, log_domain=log_domain)
+        config = SinkhornConfig(lam=lam, max_iterations=3000)
         pairs = [(a, b) for a in (0, 2, 3, 4) for b in (0, 1, 2, 4)]
         costs = [
             squared_euclidean_cost(src.features[src.labels == a], tgt.features[tgt.labels == b])
@@ -280,12 +279,9 @@ class TestLabelDistanceMatrix:
             return Counter(kernel.tobytes() for kernel in kernels)
 
         assert per_problem(absorptions[per_pair:]) == per_problem(absorptions[:per_pair])
-        if log_domain:
-            # the start of each solve, plus absorptions after it at small lam
-            assert len(per_problem(absorptions)) == len(costs)
-            assert per_pair >= len(costs) + (lam < 0.01)
-        else:
-            assert per_pair == 0
+        # the start of each solve, plus absorptions after it at small lam
+        assert len(per_problem(absorptions)) == len(costs)
+        assert per_pair >= len(costs) + (lam < 0.01)
 
         distances = label_distance_matrix(src, tgt, MetricConfig(sinkhorn=config))
         rows, cols = zip(*pairs)
@@ -301,9 +297,9 @@ class TestLabelDistanceMatrix:
         stacked = []
         init = ot._Batch.__init__
 
-        def recording(batch, costs, lam, absorb):
-            init(batch, costs, lam, absorb)
-            # The padded volume: a log-domain batch holds no dense stack here.
+        def recording(batch, costs, lam):
+            init(batch, costs, lam)
+            # The padded volume: the batch holds no dense stack here.
             stacked.append(batch.u.size * batch.v.shape[1])
 
         monkeypatch.setattr(ot._Batch, "__init__", recording)

@@ -42,7 +42,7 @@ def kernel_of(rule):
 
 def step(rule, count=1):
     """``count`` steps of ``rule`` in the steps' error state (see the
-    ``ot`` module docstring): a log-domain start divides by zero."""
+    ``ot`` module docstring): the start divides by zero."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(count):
             rule.step()
@@ -160,37 +160,22 @@ class TestSinkhorn:
         permuted = sinkhorn(cost[perm], uniform_marginal(6), uniform_marginal(4))
         assert np.abs(base.coupling.values[perm] - permuted.coupling.values).max() < 1e-12
 
-    def test_log_and_scaling_agree(self, rng):
-        cost = rng.uniform(size=(5, 8))
-        log_plan = sinkhorn(
-            cost, uniform_marginal(5), uniform_marginal(8),
-            SinkhornConfig(lam=0.3, log_domain=True),
-        ).coupling.values
-        scale_plan = sinkhorn(
-            cost, uniform_marginal(5), uniform_marginal(8),
-            SinkhornConfig(lam=0.3, log_domain=False),
-        ).coupling.values
-        assert np.abs(log_plan - scale_plan).max() < 1e-8
-
-    def test_scaling_overflow_raises_and_log_survives(self):
-        # second source point far from every target: its kernel row
-        # underflows to zero and plain scaling divides by it
+    def test_underflowing_kernel_row_survives(self):
+        # second source point far from every target: its row of
+        # exp(-cost/lam) underflows to zero, which the absorptions survive
         cost = np.array([[0.0, 1.0], [1e4, 1e4]])
         mu = uniform_marginal(2)
-        with pytest.raises(NumericalOverflow):
-            sinkhorn(cost, mu, mu, SinkhornConfig(lam=1e-3, log_domain=False))
-        result = sinkhorn(cost, mu, mu, SinkhornConfig(lam=1e-3, log_domain=True))
+        result = sinkhorn(cost, mu, mu, SinkhornConfig(lam=1e-3))
         assert np.isfinite(result.transport_cost)
         assert result.coupling.marginal_violation() <= 1e-9 or not result.converged
 
-    @pytest.mark.parametrize("log_domain", [True, False], ids=["log", "scaling"])
     @pytest.mark.parametrize("lam", [1e-308, 5e-324])
-    def test_kernel_overflow_raises(self, lam, log_domain):
+    def test_kernel_overflow_raises(self, lam):
         # -cost/lam overflows: at 1e-308 the nonzero costs, at 5e-324 -1/lam
         # itself, which turns the zero costs into NaN. No warning escapes.
         cost = TestRedoPath.costs()[2]
         cost[0, 0] = 0.0
-        config = SinkhornConfig(lam=lam, log_domain=log_domain)
+        config = SinkhornConfig(lam=lam)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for solve in (
@@ -202,7 +187,7 @@ class TestSinkhorn:
                     solve()
 
     def test_tiny_finite_kernel_solves(self):
-        # At lam = 1e-300, -cost/lam is finite and the log-domain solvers run.
+        # At lam = 1e-300, -cost/lam is finite and the solvers run.
         cost = TestRedoPath.costs()[2]
         config = SinkhornConfig(lam=1e-300, max_iterations=20)
         with warnings.catch_warnings():
@@ -236,14 +221,6 @@ class TestSinkhorn:
         reference = lse_sinkhorn_plan(cost, 1e-3, 300)
         assert np.abs(result.coupling.values - reference).max() <= 1e-12
 
-    def test_scaling_mode_never_absorbs(self, absorptions, rng):
-        cost = rng.uniform(size=(5, 8))
-        sinkhorn(
-            cost, uniform_marginal(5), uniform_marginal(8),
-            SinkhornConfig(lam=0.3, log_domain=False),
-        )
-        assert absorptions == []
-
     def test_bit_stable_across_runs(self, rng):
         cost = rng.uniform(size=(9, 9))
         a = sinkhorn(cost, uniform_marginal(9), uniform_marginal(9))
@@ -258,12 +235,10 @@ class TestSinkhorn:
             sinkhorn(cost, np.array([1.0, 0.0]), uniform_marginal(2))
         with pytest.raises(DimensionMismatch):
             sinkhorn(cost, uniform_marginal(3), uniform_marginal(2))
-        for log_domain in (True, False):
-            config = SinkhornConfig(log_domain=log_domain)
-            with pytest.raises(DimensionMismatch):
-                sinkhorn(cost, np.array([np.nan, 0.5]), uniform_marginal(2), config)
-            with pytest.raises(DimensionMismatch):
-                sinkhorn(cost, uniform_marginal(2), np.array([0.5, np.nan]), config)
+        with pytest.raises(DimensionMismatch):
+            sinkhorn(cost, np.array([np.nan, 0.5]), uniform_marginal(2))
+        with pytest.raises(DimensionMismatch):
+            sinkhorn(cost, uniform_marginal(2), np.array([0.5, np.nan]))
 
     def test_non_finite_cost_rejected(self):
         cost = np.array([[0.0, np.inf], [1.0, 0.0]])
@@ -382,7 +357,7 @@ class TestFold:
     def test_forced_scaling(self, redos, axis, value, folds):
         cost = TestRedoPath.costs()[2]
         m, n = cost.shape
-        rule = ot._Rule.on(cost, uniform_marginal(m), uniform_marginal(n), 0.1, absorb=True)
+        rule = ot._Rule.on(cost, uniform_marginal(m), uniform_marginal(n), 0.1)
         step(rule)
         F, G, u, v = rule.F, rule.G, rule.u, rule.v
         fresh = np.ones(n if axis else m)
@@ -404,7 +379,7 @@ class TestFold:
     def test_forced_scaling_batched(self, redos, value, folds):
         # Only the forced problem absorbs, and it folds or redoes alone.
         costs = TestRedoPath.costs()
-        batch = ot._Batch(costs, 0.1, absorb=True)
+        batch = ot._Batch(costs, 0.1)
         step(batch)
         fresh = np.ones_like(batch.u)
         fresh[2, 0] = value()
@@ -474,7 +449,7 @@ class TestStopEstimate:
     def test_rule(self):
         cost = TestRedoPath.costs()[2]
         m, n = cost.shape
-        rule = ot._Rule.on(cost, uniform_marginal(m), uniform_marginal(n), self.CONFIG.lam, absorb=True)
+        rule = ot._Rule.on(cost, uniform_marginal(m), uniform_marginal(n), self.CONFIG.lam)
         kinds, infinite = [], []
         for _ in range(300):
             step(rule)
@@ -498,7 +473,7 @@ class TestStopEstimate:
 
         monkeypatch.setattr(ot._Batch, "_take_v", copying)
         costs = TestRedoPath.costs()
-        batch = ot._Batch(costs, self.CONFIG.lam, absorb=True)
+        batch = ot._Batch(costs, self.CONFIG.lam)
         kinds, infinite = [], []
         for _ in range(300):
             step(batch)
@@ -528,7 +503,7 @@ class TestKernelRebuild:
         m, n = shape
         rng = np.random.default_rng(3)
         cost = squared_euclidean_cost(rng.normal(size=(m, 8)), rng.normal(size=(n, 8)))
-        rule = ot._Rule.on(cost, uniform_marginal(m), uniform_marginal(n), lam, absorb=True)
+        rule = ot._Rule.on(cost, uniform_marginal(m), uniform_marginal(n), lam)
         step(rule)  # the first row half is redone, absorbed and builds the kernel
         floor = ot._floor(rule.log_mu, rule.log_nu)
         above = rule.kernel + rule.F[:, None] + rule.G[None, :] > floor
@@ -578,7 +553,7 @@ class TestSparseKernel:
     def test_forms_agree(self, monkeypatch, absorptions, kernel_forms, noise, converged):
         cost = clustered_cost(noise)
         m, n = cost.shape
-        rule = ot._Rule.on(cost, uniform_marginal(m), uniform_marginal(n), 0.1, absorb=True)
+        rule = ot._Rule.on(cost, uniform_marginal(m), uniform_marginal(n), 0.1)
         step(rule)
         assert np.count_nonzero(kernel_of(rule)) <= 0.03 * rule.work.size
         results, counts = [], []
@@ -618,7 +593,7 @@ class TestSparseKernel:
         # Each column sum adds the same products in the same row order.
         cost = clustered_cost(3.0)
         m, n = cost.shape
-        rule = ot._Rule.on(cost, uniform_marginal(m), uniform_marginal(n), 0.1, absorb=True)
+        rule = ot._Rule.on(cost, uniform_marginal(m), uniform_marginal(n), 0.1)
         step(rule, 50)
         assert rule.pattern is not None
         kernel = kernel_of(rule)
@@ -628,7 +603,7 @@ class TestSparseKernel:
         assert np.abs(rows - np.einsum(rule._KV, kernel, rule.v)).max() <= 1e-15 * rows.max()
         # The plan scatters the dense form's products from the pattern.
         cost = class_cost()
-        rule = ot._Rule.on(cost, uniform_marginal(300), uniform_marginal(300), 0.1, absorb=True)
+        rule = ot._Rule.on(cost, uniform_marginal(300), uniform_marginal(300), 0.1)
         step(rule, 50)
         assert rule.pattern is not None
         dense = kernel_of(rule) * rule.u[:, None] * rule.v[None, :]
@@ -643,7 +618,8 @@ def solo(cost, config):
 class TestDenseBatch:
     # A _Batch's dense products are each problem's 2-D einsum, to the bit,
     # whatever the stack pads: rows, columns, or a one-column or one-row
-    # problem beside wider ones.
+    # problem beside wider ones. At lam = 1 every kernel entry lies above
+    # the floor, so the start's rebuild leaves each problem's kernel dense.
     @pytest.mark.parametrize(
         "shapes",
         [
@@ -655,12 +631,16 @@ class TestDenseBatch:
     def test_products_equal_2d(self, shapes):
         rng = np.random.default_rng(5)
         costs = [10.0 * rng.random(shape) for shape in shapes]
-        batch = ot._Batch(costs, 1.0, absorb=False)
+        batch = ot._Batch(costs, 1.0)
+        step(batch)
         v = 1.0 + rng.random(batch.v.shape)
         u = 1.0 + rng.random(batch.u.shape)
         rows, cols = batch._matvec(v, 0), batch._matvec(u, 1)
         for k, (m, n) in enumerate(shapes):
-            kernel = np.exp(-costs[k])
+            rule = ot._Rule.on(costs[k], uniform_marginal(m), uniform_marginal(n), 1.0)
+            step(rule)
+            kernel = rule.work
+            assert rule.pattern is None and kernel.tobytes() == batch.work[k, :m, :n].tobytes()
             assert rows[k, :m].tobytes() == np.einsum("ij,j->i", kernel, v[k, :n]).tobytes()
             assert cols[k, :n].tobytes() == np.einsum("ij,i->j", kernel, u[k, :m]).tobytes()
             # The padding's products are 1, so its scalings stay 1.
@@ -726,7 +706,7 @@ class TestSparseBatch:
         batch = self.assert_bit_identical(costs, config)
         assert batch.converged.all() and batch.iterations.tolist() == [787, 106, 1243]
         m, n = costs[2].shape
-        rule = ot._Rule.on(costs[2], uniform_marginal(m), uniform_marginal(n), config.lam, absorb=True)
+        rule = ot._Rule.on(costs[2], uniform_marginal(m), uniform_marginal(n), config.lam)
         step(rule, 1243)
         assert TestStopEstimate.kind(rule.fresh) == "folded"
 
@@ -844,18 +824,6 @@ class TestKernelFloor:
         assert np.exp(floor - ot._ABSORB) > np.finfo(float).tiny
         assert floor > ot._EXP_CLAMP
 
-    def test_plain_scaling_kernel_is_not_truncated(self):
-        # exp(-200) lies below a 3 x 3 floor (about e^-179) and exp(-720)
-        # below the clamp; plain scaling keeps both, and its plan carries them.
-        cost = np.array([[0.0, 20.0, 72.0], [20.0, 0.0, 72.0], [72.0, 72.0, 0.0]])
-        mu = uniform_marginal(3)
-        rule = ot._Rule.on(cost, mu, mu, 0.1, absorb=False)
-        assert rule.work.tobytes() == np.exp(cost * (-1.0 / 0.1)).tobytes()
-        floor = np.exp(ot._floor(rule.log_mu, rule.log_nu))
-        assert 0.0 < rule.work.min() and (rule.work < floor).sum() == 6
-        plan = sinkhorn(cost, mu, mu, SinkhornConfig(log_domain=False)).coupling.values
-        assert (plan > 0).all() and plan[0, 1] < floor
-
     @pytest.mark.parametrize("make", [lambda: clustered_cost(3.0), class_cost],
                              ids=["clustered", "class"])
     def test_matches_clamp_floor(self, monkeypatch, absorptions, make):
@@ -875,7 +843,7 @@ class TestKernelFloor:
     def test_matvecs_match_untruncated_kernel(self):
         cost = clustered_cost(3.0)
         m, n = cost.shape
-        rule = ot._Rule.on(cost, uniform_marginal(m), uniform_marginal(n), 0.1, absorb=True)
+        rule = ot._Rule.on(cost, uniform_marginal(m), uniform_marginal(n), 0.1)
         step(rule, 200)
         exponent = rule.kernel + rule.F[:, None] + rule.G[None, :]
         # The floor has dropped entries the clamp would keep, and the
@@ -901,14 +869,20 @@ class TestRangeTest:
     @pytest.mark.parametrize("size", [1, 2, 7, 8, 9, 33, 64, 257])
     def test_nan_anywhere_is_not_kept(self, size):
         mu = uniform_marginal(size)
-        rule = ot._Rule.on(np.zeros((size, 3)), mu, uniform_marginal(3), 0.1, absorb=False)
+        rule = ot._Rule.on(np.zeros((size, 3)), mu, uniform_marginal(3), 0.1)
+        # Past the start's absorption, the row products are in range.
+        step(rule)
+        matvec = rule._matvec
         for position in {0, size // 2, size - 1}:
             products = np.ones(size)
             products[position] = np.nan
-            rule._matvec = lambda scaling, axis: products
-            # Plain scaling raises on a scaling that is not finite.
-            with pytest.raises(NumericalOverflow):
-                rule.step()
+            rule._matvec = lambda scaling, axis: matvec(scaling, axis) if axis else products
+            absorptions = rule.absorptions
+            step(rule)
+            # Not kept: a NaN is not folded either, so the row half is
+            # redone, from the potentials, and leaves u = 1.
+            assert rule.before[0] == absorptions + 1
+            assert np.isfinite(rule.before[1]).all() and (rule.before[3] == 1.0).all()
 
 
 class TestErrorState:
@@ -920,7 +894,7 @@ class TestErrorState:
 
     @staticmethod
     def absorbing_cost():
-        # At lam = 0.01 the log-domain steps absorb and rebuild the kernel.
+        # At lam = 0.01 the steps absorb and rebuild the kernel.
         rng = np.random.default_rng(2)
         return squared_euclidean_cost(rng.normal(size=(30, 2)), rng.normal(size=(12, 2)))
 
@@ -949,10 +923,10 @@ class TestErrorState:
         tight, loose = clustered_cost(0.3)[:120, :120], clustered_cost(3.0)[:100, :110]
         config = SinkhornConfig(lam=0.1, max_iterations=300)
         if batched:
-            rule, problems = ot._Batch([tight, loose, loose], config.lam, absorb=True), [0, 1, 2]
+            rule, problems = ot._Batch([tight, loose, loose], config.lam), [0, 1, 2]
         else:
             rule, problems = ot._Rule.on(tight, uniform_marginal(120), uniform_marginal(120),
-                                         config.lam, absorb=True), [0]
+                                         config.lam), [0]
         with np.errstate(**self.CALLER):
             stops = ot._stops(rule, problems, config)
             name, _, iterations, _ = next(stops)
