@@ -312,14 +312,16 @@ class _Rule:
     K = exp(-cost/lam + F + G), held in ``work``.
 
     F and G are absorbed log potentials; the effective potentials are
-    f = F + log u and g = G + log v. A fresh scaling that leaves
-    [e^-_ABSORB, e^_ABSORB] is absorbed: the effective potentials become
-    F and G, u and v are reset to 1 and K is rebuilt, exactly zero below
-    a floor (see :func:`_floor`). A scaling that the fold rule of
-    :func:`_floor` admits is folded in as it stands (:func:`_foldable`).
-    Any other is dropped and its half-update redone in log-sum-exp form
-    from the effective potentials (with ``work`` as its workspace). Every
-    half-update is thus the exact Sinkhorn step, to the bit in practice.
+    f = F + log u and g = G + log v. :meth:`step` puts each fresh scaling
+    in place, and one that leaves [e^-_ABSORB, e^_ABSORB] is absorbed
+    (:meth:`_absorb_row`, :meth:`_absorb_col`; a _Batch overrides them to
+    absorb per problem): the effective potentials become F and G, u and v
+    are reset to 1 and K is rebuilt, exactly zero below a floor (see
+    :func:`_floor`). A scaling that the fold rule of :func:`_floor` admits
+    is folded in as it stands (:func:`_foldable`). Any other is dropped
+    and its half-update redone in log-sum-exp form from the effective
+    potentials (with ``work`` as its workspace). Every half-update is thus
+    the exact Sinkhorn step, to the bit in practice.
 
     The start: a rule starts on the empty kernel (``_EMPTY``, set by
     :meth:`on`), whose first row scalings are infinite. So its
@@ -331,13 +333,12 @@ class _Rule:
     ``work`` is K's dense store and the log-sum-exp form's workspace. The
     matvecs (einsums) and the plan read it, or, while an absorption has
     left K sparse, K's nonzeros alone (``pattern``: flat rows, columns and
-    values, row-major; a _Batch holds one for its stack), as ``np.bincount``
-    sums and as the dense form's products; ``work`` is then scratch, which
-    the reverse fills from the pattern. Both matvecs are sequential,
-    not BLAS calls, so their bits do not depend on the BLAS thread count.
-    The sparse column product adds the same terms in the same order as
-    the einsum, so it is bit-identical; the sparse row product differs
-    from it by rounding.
+    values, row-major), as ``np.bincount`` sums and as the dense form's
+    products; ``work`` is then scratch, which the reverse fills from the
+    pattern. Both matvecs are sequential, not BLAS calls, so their bits do
+    not depend on the BLAS thread count. The sparse column product adds
+    the same terms in the same order as the einsum, so it is
+    bit-identical; the sparse row product differs from it by rounding.
     """
 
     def __init__(self, kernel, work, mu, nu, log_mu, log_nu, lam: float, F, G, u, v):
@@ -380,22 +381,18 @@ class _Rule:
         (absorptions, F, G, u, v); ``fresh`` holds the column half's fresh
         scaling, as it was before any absorption.
         """
-        # A fresh scaling in range, of one problem or of a whole _Batch
-        # stack, is kept here. x.item(x.argmin()) is the minimum, or the
-        # first NaN, which fails both comparisons; on small scalings it
-        # costs a third of a ufunc reduction. The rest go to _take_u and
-        # _take_v, where a _Batch tests its stacks per problem.
-        u = self.mu / self._matvec(self.v, 0)
-        if _SCALING_LO <= u.item(u.argmin()) and u.item(u.argmax()) <= _SCALING_HI:
-            self.u = u
-        else:
-            self._take_u(u)
+        # Each fresh scaling is put in place; one out of range, of one
+        # problem or anywhere in a _Batch stack, is absorbed, where a _Batch
+        # tests its stacks per problem. x.item(x.argmin()) is the minimum,
+        # or the first NaN, which fails both comparisons; on small scalings
+        # it costs a third of a ufunc reduction.
+        u = self.u = self.mu / self._matvec(self.v, 0)
+        if not (_SCALING_LO <= u.item(u.argmin()) and u.item(u.argmax()) <= _SCALING_HI):
+            self._absorb_row()
         self.before = (self.absorptions, self.F, self.G, self.u, self.v)
-        v = self.fresh = self.nu / self._matvec(self.u, 1)
-        if _SCALING_LO <= v.item(v.argmin()) and v.item(v.argmax()) <= _SCALING_HI:
-            self.v = v
-        else:
-            self._take_v(v)
+        v = self.v = self.fresh = self.nu / self._matvec(self.u, 1)
+        if not (_SCALING_LO <= v.item(v.argmin()) and v.item(v.argmax()) <= _SCALING_HI):
+            self._absorb_col()
 
     def _matvec(self, scaling: np.ndarray, axis: int) -> np.ndarray:
         """K v (axis 0) or K^T u (axis 1): an einsum over the dense K, or
@@ -403,16 +400,6 @@ class _Rule:
         if self.pattern is None:
             return np.einsum(self._KTU if axis else self._KV, self.work, scaling)
         return _pattern_matvec(self.pattern, scaling, axis, (self.v if axis else self.u).shape)
-
-    def _take_u(self, u: np.ndarray) -> None:
-        """Take a fresh u outside the range: absorb it."""
-        self.u = u
-        self._absorb_row()
-
-    def _take_v(self, v: np.ndarray) -> None:
-        """Take a fresh v outside the range: absorb it."""
-        self.v = v
-        self._absorb_col()
 
     def _absorb_row(self) -> None:
         """Absorb the row half-update whose fresh u is in place: u folded
@@ -519,8 +506,8 @@ class _Batch(_Rule):
     Problem k fills the top-left m_k x n_k corner of slice k of the
     padded stacks. The padding holds marginals and products of 1, so
     padded scalings are 1 and pass every range test: _Rule.step tests the
-    fresh stacks whole, and those out of range per problem
-    (:meth:`_take_u`, :meth:`_take_v`). Whatever differs between problems
+    fresh stacks whole, and :meth:`_absorb_row` and :meth:`_absorb_col`
+    those out of range per problem. Whatever differs between problems
     runs per problem, through _Rule's own methods on a 2-D view of it
     (:meth:`problem`): the absorption of a scaling that leaves range
     (:meth:`_absorb_one`, counted per problem in ``absorptions``) and the
@@ -533,15 +520,17 @@ class _Batch(_Rule):
     (``parts``: its last rebuild's, or the empty kernel's at the start),
     the matvecs are one bincount over a stacked pattern
     (:meth:`_layout`), which holds each problem's nonzeros in its own
-    row-major order. Otherwise the batch holds the padded dense stack
-    ``work``, whose padding is zero. Its column matvec is one einsum,
-    which sums each column in sequence, so the padding adds exact zeros.
-    Its row matvec sums each row over its contiguous entries in an order
-    that depends on their count, so it is one einsum per run of
-    consecutive problems with one column count, each over those columns
-    alone. A problem of one column sums it as a dot product, as its 2-D
-    einsum does, and one holding a pattern as a bincount, so each of
-    those also takes its own product.
+    row-major order. While some problem is dense, the batch holds the
+    padded dense stack ``work`` (:meth:`_settle`), whose padding is zero
+    and which holds the dense problems' kernels alone. Its column matvec
+    is one einsum, which sums each column in sequence, so the padding
+    adds exact zeros. Its row matvec sums each row over its contiguous
+    entries in an order that depends on their count, so it is one einsum
+    per run of consecutive problems with one column count, each over
+    those columns alone. A problem of one column sums it as a dot
+    product, as its 2-D einsum does, so it takes its own product, and one
+    that holds a pattern takes its own as a bincount, which overwrites
+    what the einsums read from its corner of the stack.
     """
 
     _KV = "bij,bj->bi"
@@ -623,10 +612,9 @@ class _Batch(_Rule):
 
         It works in contiguous scratch rather than in the strided view of
         the stack, where the kernel rebuild takes about 1.5 times as long.
-        Its pattern, if any, is kept for the stacked matvecs, and its kernel
-        written into the dense stack, from scratch or from its pattern; a
-        dense one builds the stack if none is held, and the stack goes once
-        every problem holds a pattern.
+        A dense kernel is written into the dense stack (:meth:`_settle`
+        holds one for it); a pattern is kept for the matvecs, and written
+        into its slot of the stacked pattern while no dense stack is held.
         """
         rule = self.problem(k)
         m, n = self.shapes[k]
@@ -636,34 +624,33 @@ class _Batch(_Rule):
         self.G[k, :n], self.v[k, :n] = rule.G, rule.v
         self.absorptions[k] += 1
         self.parts[k] = rule.pattern
-        if self.work is None:
-            if rule.pattern is None:
-                self._hold()
-                self.work[k, :m, :n] = rule.work
-            elif self.pattern is not None:
-                self._place(k)
-        elif None not in self.parts:
-            self._layout()
-        else:
-            if rule.pattern is None:
-                self.work[k, :m, :n] = rule.work
-            else:
-                _scatter(rule.pattern, self.work[k])
-            self.sparse = [j for j, part in enumerate(self.parts) if part is not None]
+        # A pattern taken while no dense stack is held leaves the form as
+        # it is, so it skips _settle's scan of every problem: on jc-otce's
+        # 100 class pairs at 1000x512, that scan at each absorption cost
+        # about 2% of the score's time (2 vCPUs).
+        if rule.pattern is None or self.work is not None:
+            self._settle()
+        if rule.pattern is None:
+            self.work[k, :m, :n] = rule.work
+        elif self.pattern is not None:
+            self._place(k)
 
-    def _hold(self) -> None:
-        """Hold the dense stack, each problem's kernel scattered into it
-        from its pattern; the stacked pattern goes."""
-        self.work = np.zeros(self.u.shape + self.v.shape[1:])
-        for part, slice_ in zip(self.parts, self.work):
-            _scatter(part, slice_)
+    def _settle(self) -> None:
+        """Hold the dense stack ``work`` iff some problem is dense. Its
+        padding is zero and stays so; while it is held, ``sparse`` lists the
+        problems that hold a pattern, whose corners of it no product reads,
+        and no stacked pattern is held."""
+        if None not in self.parts:
+            self.work = None
+            return
+        if self.work is None:
+            self.work = np.zeros(self.u.shape + self.v.shape[1:])
+            self.pattern = None
         self.sparse = [k for k, part in enumerate(self.parts) if part is not None]
-        self.pattern = None
 
     def _layout(self) -> None:
         """The stacked pattern: a slot per problem, 1/_ROOM longer than its
-        pattern, at its offset in the flattened stacks; the dense stack goes."""
-        self.work = None
+        pattern, at its offset in the flattened stacks."""
         sizes = np.array([data.size for _, _, data in self.parts])
         slots = sizes + sizes // _ROOM
         stops = np.cumsum(slots)
@@ -720,13 +707,11 @@ class _Batch(_Rule):
         # Not in place: on the empty kernel, bincount's sums are integers.
         return product if pad is None else product + pad
 
-    def _take_u(self, u: np.ndarray) -> None:
-        self.u = u
-        self._absorb_each(u, _Rule._absorb_row)
+    def _absorb_row(self) -> None:
+        self._absorb_each(self.u, _Rule._absorb_row)
 
-    def _take_v(self, v: np.ndarray) -> None:
-        self.v = v
-        self._absorb_each(v, _Rule._absorb_col)
+    def _absorb_col(self) -> None:
+        self._absorb_each(self.v, _Rule._absorb_col)
 
     # The stacks that an absorption writes into in place while something
     # still reads them: the fresh v, which the stop estimate reads (a
@@ -753,10 +738,7 @@ class _Batch(_Rule):
         self.parts = [part for part, keep in zip(self.parts, alive) if keep]
         self._group()
         self.pattern = None
-        if None not in self.parts:
-            self.work = None
-        elif self.work is not None:
-            self.sparse = [k for k, part in enumerate(self.parts) if part is not None]
+        self._settle()
 
 
 def _stops(rule: _Rule, problems, config: SinkhornConfig):
@@ -958,12 +940,9 @@ class _Taped(_Batch):
         half-step runs an exp of its own.
         """
         tape = self.tape
-        if self.work is None:
-            store = np.zeros(self.u.shape + self.v.shape[1:])
-            for part, slice_ in zip(self.parts, store):
-                _scatter(part, slice_)
-        else:
-            store = self.work.copy()
+        store = np.zeros(self.u.shape + self.v.shape[1:]) if self.work is None else self.work.copy()
+        for part, slice_ in zip(self.parts, store):
+            _scatter(part, slice_)
         kernels = [store[p, :m, :n] for p, (m, n) in enumerate(self.shapes)]
         neg_mu, neg_nu = -self.mu, -self.nu
         # The rank-one factors of dkernel, column k for tape[k]; problem

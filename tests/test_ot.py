@@ -363,8 +363,9 @@ class TestFold:
         fresh = np.ones(n if axis else m)
         fresh[0] = value()
         redos.clear()
+        setattr(rule, "v" if axis else "u", fresh)
         with np.errstate(divide="ignore", invalid="ignore"):
-            (rule._take_v if axis else rule._take_u)(fresh)
+            (rule._absorb_col if axis else rule._absorb_row)()
         assert len(redos) == (not folds)
         assert np.isfinite(rule.F).all() and np.isfinite(rule.G).all()
         if folds:
@@ -387,7 +388,8 @@ class TestFold:
             # Taken first: the absorption resets the fresh u to 1 in place.
             folded = batch.F[2] + np.log(fresh[2])
             redos.clear()
-            batch._take_u(fresh)
+            batch.u = fresh
+            batch._absorb_row()
         assert len(redos) == (not folds) and all(kernel is batch.kernels[2] for kernel in redos)
         assert np.isfinite(batch.F).all()
         if folds:
@@ -465,13 +467,13 @@ class TestStopEstimate:
         # stacks in place, so the state before each column half that
         # leaves range is copied as it stood.
         states = []
-        take_v = ot._Batch._take_v
+        absorb_col = ot._Batch._absorb_col
 
-        def copying(batch, v):
+        def copying(batch):
             states.append([stack.copy() for stack in batch.before[1:]])
-            take_v(batch, v)
+            absorb_col(batch)
 
-        monkeypatch.setattr(ot._Batch, "_take_v", copying)
+        monkeypatch.setattr(ot._Batch, "_absorb_col", copying)
         costs = TestRedoPath.costs()
         batch = ot._Batch(costs, self.CONFIG.lam)
         kinds, infinite = [], []
@@ -712,10 +714,10 @@ class TestSparseBatch:
 
     def test_dense_rebuild_mid_run(self, monkeypatch, batch_forms, stackless):
         # One problem's second rebuild, after the stack has stepped sparse,
-        # reports its kernel dense. The batch builds its dense stack from
-        # the other problems' patterns and steps it dense until that
-        # problem's next rebuild, then lays out its pattern again and
-        # drops the stack. Values agree with the unforced run to rounding.
+        # reports its kernel dense. The batch holds a dense stack for that
+        # kernel and steps it dense until that problem's next rebuild, then
+        # drops the stack and lays out the stacked pattern again. Values
+        # agree with the unforced run to rounding.
         blocks = self.blocks(clustered_cost(3.0))
         config = SinkhornConfig(lam=0.1, max_iterations=300)
         unforced = ot.batched_sinkhorn(blocks, config)
@@ -766,6 +768,50 @@ class TestSparseBatch:
         assert batch.transport_cost.tobytes() == expected.tobytes()
         errors = np.array([result.final_marginal_error for result in reference])
         assert batch.final_marginal_error.tobytes() == errors.tobytes()
+
+    def test_pattern_corners_unread(self, monkeypatch):
+        # While the dense problem holds the stack, the other problems hold
+        # their patterns, and their corners of the stack hold no kernel:
+        # their products and plans come from their patterns alone. NaN
+        # written into those corners before each matvec from mid-run on
+        # moves no product, plan or stopping iteration by a bit. (Their
+        # padding stays zero: it gives the padded products.)
+        wide = 50.0 * np.random.default_rng(0).random((200, 220))
+        blocks = [*self.blocks(clustered_cost(3.0))[:3], wide]
+        config = SinkhornConfig(lam=0.1, max_iterations=300)
+        matvec = ot._Batch._matvec
+
+        def solve(poison):
+            products, poisoned = [], []
+
+            def recording(batch, scaling, axis):
+                if poison and len(products) >= 100 and batch.work is not None:
+                    for k in batch.sparse:
+                        m, n = batch.shapes[k]
+                        batch.work[k, :m, :n] = np.nan
+                    poisoned.append(batch.sparse)
+                products.append(matvec(batch, scaling, axis))
+                return products[-1]
+
+            monkeypatch.setattr(ot._Batch, "_matvec", recording)
+            batch = ot._Batch(blocks, config.lam)
+            return products, list(ot._stops(batch, list(range(4)), config)), poisoned
+
+        products, stops, _ = solve(poison=False)
+        poisoned_products, poisoned_stops, poisoned = solve(poison=True)
+        # The dense problem stops first, near iteration 260; until then
+        # the stack is held, so the three others' corners are poisoned
+        # before each of its matvecs from the 100th on.
+        assert [name for name, *_ in stops] == [3, 0, 1, 2] and stops[0][2] > 200
+        assert len(poisoned) == 2 * stops[0][2] - 100
+        assert all(sparse == [0, 1, 2] for sparse in poisoned)
+        assert len(poisoned_products) == len(products)
+        for product, poisoned_product in zip(products, poisoned_products):
+            assert poisoned_product.tobytes() == product.tobytes()
+        for (name, plan, iterations, error), poisoned_stop in zip(stops, poisoned_stops):
+            assert poisoned_stop[0] == name and poisoned_stop[2] == iterations
+            assert poisoned_stop[1].tobytes() == plan.tobytes()
+            assert poisoned_stop[3].hex() == error.hex()
 
     def test_traced_peak_bounded(self):
         # While the stack steps sparse, a batched solve holds no dense
