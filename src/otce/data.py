@@ -62,10 +62,29 @@ def _marginal_error(plan: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> float:
     return float(max(row, np.abs(plan.sum(axis=0) - nu).max()))
 
 
-def _frozen_f64(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, copy=True)
-    out.setflags(write=False)
-    return out
+def _adopt(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` that holds the arrays
+    in ``fields`` themselves, frozen in place, where its constructor holds
+    copies of the caller's.
+
+    For arrays of the fields' dtypes that their maker has just made and
+    hands over, such as a solver's plan or a reader's features: the copy
+    would double their memory for a moment. Every check of the
+    constructor runs (``cls._check``), and a failed one leaks no instance.
+    """
+    instance = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(instance, name, value)
+    instance._check()
+    return instance
+
+
+def _copy_fields(instance, names, dtype=None) -> None:
+    """Replace each named field of a frozen dataclass ``instance`` by a
+    copy of it, as an array of ``dtype`` if given: what its constructor
+    holds instead of the caller's arrays."""
+    for name in names:
+        object.__setattr__(instance, name, np.array(getattr(instance, name), dtype=dtype, copy=True))
 
 
 @dataclass(frozen=True)
@@ -87,7 +106,13 @@ class FeatureSet:
     name: str = ""
 
     def __post_init__(self) -> None:
-        feats = np.array(self.features, dtype=np.float64, copy=True)
+        _copy_fields(self, ("features",), np.float64)
+        _copy_fields(self, ("labels",))
+        self._check()
+
+    def _check(self) -> None:
+        """Check the held fields and freeze the arrays in place."""
+        feats = self.features
         if feats.ndim != 2:
             raise DimensionMismatch(
                 f"features must be 2-D (n, d), got ndim={feats.ndim}"
@@ -100,14 +125,14 @@ class FeatureSet:
             i, j = np.argwhere(bad)[0]
             raise NonFiniteValue(f"non-finite feature at record {i}, column {j}")
 
-        labels = np.array(self.labels, copy=True)
+        labels = self.labels
         if labels.ndim != 1 or labels.shape[0] != n:
             raise DimensionMismatch(
                 f"labels must be a length-{n} vector, got shape {labels.shape}"
             )
         if not np.issubdtype(labels.dtype, np.integer):
             raise LabelOutOfRange(f"labels must be integers, got dtype {labels.dtype}")
-        labels = labels.astype(np.int64)
+        labels = labels.astype(np.int64, copy=False)
 
         if int(self.class_count) < 1:
             raise LabelOutOfRange(f"class_count must be >= 1, got {self.class_count}")
@@ -120,7 +145,6 @@ class FeatureSet:
 
         feats.setflags(write=False)
         labels.setflags(write=False)
-        object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "class_count", int(self.class_count))
 
@@ -155,6 +179,11 @@ class Coupling:
     closely the row/column sums match the prescribed marginals is a
     property of the solve (see ``SinkhornResult.final_marginal_error``),
     not of this container.
+
+    The constructor holds read-only copies of the caller's arrays. The
+    solver's plan is adopted instead (:func:`_adopt`): the coupling holds
+    the array the solve wrote, frozen in place, so that no second m x n
+    copy of it is made.
     """
 
     values: np.ndarray
@@ -162,9 +191,12 @@ class Coupling:
     col_marginal: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = _frozen_f64(self.values)
-        mu = _frozen_f64(self.row_marginal)
-        nu = _frozen_f64(self.col_marginal)
+        _copy_fields(self, ("values", "row_marginal", "col_marginal"), np.float64)
+        self._check()
+
+    def _check(self) -> None:
+        """Check the held fields and freeze the arrays in place."""
+        vals, mu, nu = self.values, self.row_marginal, self.col_marginal
         if vals.ndim != 2:
             raise DimensionMismatch(f"coupling must be 2-D, got ndim={vals.ndim}")
         m, n = vals.shape
@@ -179,9 +211,8 @@ class Coupling:
         total = float(vals.sum())
         if abs(total - 1.0) > MASS_TOLERANCE:
             raise NonFiniteValue(f"coupling mass {total!r} differs from 1 by > {MASS_TOLERANCE}")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "row_marginal", mu)
-        object.__setattr__(self, "col_marginal", nu)
+        for arr in (vals, mu, nu):
+            arr.setflags(write=False)
 
     @property
     def shape(self) -> tuple[int, int]:

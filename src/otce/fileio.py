@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureSet
+from .data import FeatureSet, _adopt
 from .errors import (
     DimensionMismatch,
     InputError,
@@ -95,8 +95,9 @@ def read_feature_file(path: str | Path) -> FeatureSet:
         .reshape(n, d)
         .astype(np.float64)
     )
-    return FeatureSet(
-        features=feats, labels=labels, class_count=class_count, name=path.stem
+    # The arrays are the reader's own, fresh: adopted, not copied again.
+    return _adopt(
+        FeatureSet, features=feats, labels=labels, class_count=class_count, name=path.stem
     )
 
 
@@ -185,7 +186,8 @@ def read_csv(path: str | Path, has_header: bool = False) -> FeatureSet:
 
     if not rows:
         raise DimensionMismatch(f"{path}: no data rows")
-    return FeatureSet(
+    return _adopt(
+        FeatureSet,
         features=np.asarray(rows, dtype=np.float64),
         labels=np.asarray(labels, dtype=np.int64),
         class_count=max(labels) + 1,

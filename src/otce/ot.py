@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Coupling, _check_integer, _check_real, _marginal_error
+from .data import Coupling, _adopt, _check_integer, _check_real, _marginal_error
 from .errors import DimensionMismatch, NumericalOverflow, TooLarge
 
 __all__ = [
@@ -180,6 +180,17 @@ def transport_cost(coupling: Coupling | np.ndarray, cost: np.ndarray) -> float:
     if plan.shape != cost.shape:
         raise DimensionMismatch(f"plan {plan.shape} vs cost {cost.shape}")
     return float((plan * cost).sum())
+
+
+def _view(store: np.ndarray, shape, order: str) -> np.ndarray:
+    """The memory of ``store``, a C- or F-contiguous array, as an array of
+    ``shape`` in ``order`` ("C" or "F").
+
+    A sum over all entries runs in memory order, so its bits depend on
+    the order: the view lets a store stand in for an array that numpy
+    would allocate in that order.
+    """
+    return store.ravel(order="K").reshape(shape, order=order)
 
 
 def _check_marginals(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> None:
@@ -335,10 +346,14 @@ class _Rule:
     left K sparse, K's nonzeros alone (``pattern``: flat rows, columns and
     values, row-major), as ``np.bincount`` sums and as the dense form's
     products; ``work`` is then scratch, which the reverse fills from the
-    pattern. Both matvecs are sequential, not BLAS calls, so their bits do
-    not depend on the BLAS thread count. The sparse column product adds
-    the same terms in the same order as the einsum, so it is
-    bit-identical; the sparse row product differs from it by rounding.
+    pattern and every rebuild and redo overwrites whole. A rule that owns
+    its ``work`` (``owns_work``: :meth:`on`'s, not a _Batch problem's view
+    into a stack) writes a sparse kernel's plan into it: the solve then
+    holds no m x n array but its cost, -cost/lam and ``work``. Both
+    matvecs are sequential, not BLAS calls, so their bits do not depend
+    on the BLAS thread count. The sparse column product adds the same
+    terms in the same order as the einsum, so it is bit-identical; the
+    sparse row product differs from it by rounding.
     """
 
     def __init__(self, kernel, work, mu, nu, log_mu, log_nu, lam: float, F, G, u, v):
@@ -347,6 +362,7 @@ class _Rule:
         F and G are the absorbed log potentials and u, v the scalings."""
         self.lam = lam
         self.pattern = None
+        self.owns_work = False
         self.absorptions = 0
         self.kernel = kernel
         self.work = work
@@ -367,6 +383,7 @@ class _Rule:
             np.zeros(m), np.zeros(n), np.ones(m), np.ones(n),
         )
         rule.pattern = _EMPTY
+        rule.owns_work = True
         return rule
 
     # Matvec subscripts; _Batch prefixes them with its problem axis.
@@ -440,12 +457,17 @@ class _Rule:
         return self
 
     def plan(self) -> np.ndarray:
+        """The plan K u v^T: a new array, or with a sparse K the memory of
+        the rule's own ``work`` in C order, if it owns it (see the class
+        docstring)."""
         if self.pattern is None:
             plan = self.work * self.u[:, None]
             plan *= self.v[None, :]
             return plan
         rows, cols, data = self.pattern
-        plan = np.zeros((self.u.size, self.v.size))
+        shape = (self.u.size, self.v.size)
+        plan = _view(self.work, shape, "C") if self.owns_work else np.empty(shape)
+        plan.fill(0.0)
         plan[rows, cols] = data * self.u[rows] * self.v[cols]
         return plan
 
@@ -536,16 +558,26 @@ class _Batch(_Rule):
     _KV = "bij,bj->bi"
     _KTU = "bij,bi->bj"
 
-    def __init__(self, costs: list[np.ndarray], lam: float):
-        self.shapes = [cost.shape for cost in costs]
+    def __init__(self, costs: list, lam: float, source: np.ndarray | None = None):
+        """The batch of the problems on ``costs``, or with ``source`` on
+        its blocks ``source[np.ix_(rows, cols)]``, each named by a pair
+        (rows, cols) of index arrays in ``costs``."""
+        if source is None:
+            self.shapes = [cost.shape for cost in costs]
+        else:
+            self.shapes = [(rows.size, cols.size) for rows, cols in costs]
         # Each problem's -cost/lam, contiguous: only per-problem steps read
-        # it. One buffer holds them all, so it is freed in one piece.
-        sizes = [cost.size for cost in costs]
+        # it. One buffer holds them all, so it is freed in one piece. A
+        # block of ``source`` is gathered into it one at a time.
+        sizes = [m * n for m, n in self.shapes]
         flat = np.empty(sum(sizes))
         stops = list(itertools.accumulate(sizes))
         self.kernels = [
-            _neg_cost(cost, lam, out=flat[stop - cost.size:stop].reshape(cost.shape))
-            for cost, stop in zip(costs, stops)
+            _neg_cost(
+                cost if source is None else source[np.ix_(*cost)],
+                lam, out=flat[stop - size:stop].reshape(shape),
+            )
+            for cost, shape, size, stop in zip(costs, self.shapes, sizes, stops)
         ]
         count = len(costs)
         rows, cols = (max(extent) for extent in zip(*self.shapes))
@@ -805,19 +837,26 @@ def sinkhorn(
     rule = _Rule.on(cost, mu, nu, config.lam)
     ((_, plan, iterations, error),) = _stops(rule, [0], config)
     support = None if rule.pattern is None else rule.pattern[:2]
-    # The rule is freed before the result is scored, which allocates
-    # plan-sized temporaries of its own.
+    # The transport cost is transport_cost's products and sum, formed in
+    # the rule's -cost/lam store, which the solve no longer reads. They run
+    # in the plan's memory order, which numpy gives ``plan * cost`` here,
+    # so the bits are the same, and no m x n array is allocated. The rule
+    # is then freed, before the checks of the plan allocate temporaries.
+    order = "C" if plan.flags.c_contiguous else "F"
+    cost_of_plan = float(np.multiply(plan, cost, out=_view(rule.kernel, plan.shape, order)).sum())
     del rule
     # The column update pins total mass to 1 up to float residue, so the
     # Coupling mass invariant holds without renormalizing (renormalizing
-    # would break bit-equality with the unrolled gradient path).
-    coupling = Coupling(values=plan, row_marginal=mu, col_marginal=nu)
+    # would break bit-equality with the unrolled gradient path). The
+    # Coupling adopts the plan, which may be the rule's ``work``, and
+    # copies the marginals, which are the caller's.
+    coupling = _adopt(Coupling, values=plan, row_marginal=mu.copy(), col_marginal=nu.copy())
     result = SinkhornResult(
         coupling=coupling,
         iterations=iterations,
         final_marginal_error=error,
         converged=error <= config.marginal_tolerance,
-        transport_cost=transport_cost(coupling, cost),
+        transport_cost=cost_of_plan,
     )
     # A private attribute, not a field: the rows and columns, row-major,
     # outside which the plan is zero, while its final kernel held a
@@ -835,7 +874,7 @@ class BatchResult(NamedTuple):
     converged: np.ndarray
 
 
-def batched_sinkhorn(costs, config: SinkhornConfig) -> BatchResult:
+def batched_sinkhorn(costs, config: SinkhornConfig, source: np.ndarray | None = None) -> BatchResult:
     """Solve entropic OT on uniform marginals for each 2-D cost, in batches.
 
     Problems of similar shape are solved as one batch (see
@@ -847,20 +886,34 @@ def batched_sinkhorn(costs, config: SinkhornConfig) -> BatchResult:
     :func:`sinkhorn` on its cost alone, and its values equal that
     solve's to the bit, sparse or dense.
 
+    With ``source``, each entry of ``costs`` is a pair (rows, cols) of
+    non-empty index arrays, and its cost is the block
+    ``source[np.ix_(rows, cols)]`` (jc-otce's class pairs of the sample
+    cost). No copy of the blocks is held: each is gathered into its
+    batch's store, and again, alone, for its transport cost. The source
+    is checked once, whole.
+
     Raises:
-        DimensionMismatch: a cost is not 2-D, empty or not finite.
+        DimensionMismatch: a cost, or ``source``, is not 2-D, empty or
+            not finite.
         NumericalOverflow: as in :func:`sinkhorn`.
     """
-    costs = [_check_cost(cost) for cost in costs]
+    if source is None:
+        costs = [_check_cost(cost) for cost in costs]
+        shapes = [cost.shape for cost in costs]
+    else:
+        source = _check_cost(source)
+        shapes = [(rows.size, cols.size) for rows, cols in costs]
     count = len(costs)
     result = BatchResult(
         np.empty(count), np.empty(count, dtype=np.intp), np.empty(count), np.empty(count, dtype=bool)
     )
-    for batch in _batches([cost.shape for cost in costs]):
+    for batch in _batches(shapes):
         # Held by the driver alone, the stacks are freed before the next batch.
-        stops = _stops(_Batch([costs[b] for b in batch], config.lam), batch, config)
+        stops = _stops(_Batch([costs[b] for b in batch], config.lam, source), batch, config)
         for b, plan, iterations, error in stops:
-            result.transport_cost[b] = transport_cost(plan, costs[b])
+            cost = costs[b] if source is None else source[np.ix_(*costs[b])]
+            result.transport_cost[b] = transport_cost(plan, cost)
             result.iterations[b] = iterations
             result.final_marginal_error[b] = error
             result.converged[b] = error <= config.marginal_tolerance

@@ -15,14 +15,15 @@ def absorptions(monkeypatch):
     solve's first row half is one, and its first column half another if
     out of range.
 
-    Each entry is the absorbing problem's -cost/lam array, which tells
-    the problems of a batch apart.
+    Each entry is a copy of the absorbing problem's -cost/lam array, which
+    tells the problems of a batch apart: a solve reuses that store once
+    it has stopped.
     """
     calls = []
     absorb = ot._Rule._absorb
 
     def counting(rule, f, g):
-        calls.append(rule.kernel)
+        calls.append(rule.kernel.copy())
         absorb(rule, f, g)
 
     monkeypatch.setattr(ot._Rule, "_absorb", counting)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -297,8 +298,8 @@ class TestLabelDistanceMatrix:
         stacked = []
         init = ot._Batch.__init__
 
-        def recording(batch, costs, lam):
-            init(batch, costs, lam)
+        def recording(batch, *args):
+            init(batch, *args)
             # The padded volume: the batch holds no dense stack here.
             stacked.append(batch.u.size * batch.v.shape[1])
 
@@ -468,3 +469,44 @@ class TestJointNormalizationEverywhere:
             result.coupling, src.labels, tgt.labels, 2, 3
         )
         assert abs(joint.sum() - 1.0) < 1e-9
+
+
+def traced_peak(call) -> int:
+    """The peak of what ``call()`` allocates, in bytes, as tracemalloc
+    sees it (numpy's arrays included), above what exists before it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    # Peaks in units of one m x n float64 array, on 400 x 400 points in
+    # 40 clusters, each with one point of each of 10 labels. A solve holds
+    # -cost/lam and the rule's ``work`` beside its cost; a sparse final
+    # kernel's plan is written into ``work``, a dense one's is a third
+    # array. The checks of the plan add m x n bool temporaries. The scores
+    # add the sample cost they solve on; jc-otce's label stage holds no
+    # copy of it. Each bound lies below what one more m x n array would
+    # give (about 3.1 for the sparse solve, 4.1 for f-otce and jc-otce).
+    def test_peaks(self):
+        xs, xt = clustered_pair(3.0)
+        labels = np.arange(400) % 10
+        src, tgt = make_set(xs, labels, name="s"), make_set(xt, labels, name="t")
+        cost = squared_euclidean_cost(xs, xt)
+        mu, nu = uniform_marginal(src.n), uniform_marginal(tgt.n)
+        unit = cost.nbytes
+
+        solves = []
+
+        def solve(lam):
+            solves.append(sinkhorn(cost, mu, nu, SinkhornConfig(lam=lam)))
+
+        assert traced_peak(lambda: solve(0.1)) <= 2.5 * unit
+        assert traced_peak(lambda: solve(1e4)) <= 3.3 * unit
+        # The first final kernel is sparse, the second dense.
+        assert solves[0]._support is not None and solves[1]._support is None
+        assert traced_peak(lambda: f_otce(src, tgt)) <= 3.5 * unit
+        assert traced_peak(lambda: jc_otce(src, tgt)) <= 3.5 * unit

@@ -17,9 +17,10 @@ from otce import (
     transport_cost,
     uniform_marginal,
 )
-from otce import ot
+from otce import Coupling, ot
+from otce.data import MASS_TOLERANCE, _adopt
 from otce.ot import unrolled_sinkhorn
-from otce.errors import DimensionMismatch, NumericalOverflow, TooLarge
+from otce.errors import DimensionMismatch, NonFiniteValue, NumericalOverflow, TooLarge
 
 from conftest import clustered_pair, make_set
 
@@ -1025,6 +1026,66 @@ class TestTransportCost:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             transport_cost(np.zeros((2, 2)), np.zeros((2, 3)))
+
+
+class TestAdoptedPlan:
+    # sinkhorn's Coupling holds the plan the solve wrote (with a sparse
+    # final kernel, the rule's own ``work``), adopted rather than copied,
+    # and its transport cost is formed in the rule's -cost/lam store.
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("lam, sparse", [(0.1, True), (1e4, False)])
+    def test_solve(self, lam, sparse, order):
+        cost = np.asarray(clustered_cost(3.0), order=order)
+        before = cost.copy()
+        m, n = cost.shape
+        result = sinkhorn(cost, uniform_marginal(m), uniform_marginal(n), SinkhornConfig(lam=lam))
+        assert (result._support is not None) == sparse
+        assert result.transport_cost.hex() == transport_cost(result.coupling, cost).hex()
+        # A sparse plan is in C order, as a new zero plan would be; a
+        # dense one in the order of the cost's kernel. The transport
+        # cost's sum runs in that order.
+        values = result.coupling.values
+        assert values.flags.c_contiguous if sparse or order == "C" else values.flags.f_contiguous
+        assert np.array_equal(cost, before)
+        for arr in (result.coupling.values, result.coupling.row_marginal, result.coupling.col_marginal):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_marginals_copied(self):
+        # The plan is the solve's own; the marginals are the caller's.
+        cost = clustered_cost(3.0)
+        mu, nu = uniform_marginal(cost.shape[0]), uniform_marginal(cost.shape[1])
+        coupling = sinkhorn(cost, mu, nu).coupling
+        assert mu.flags.writeable and nu.flags.writeable
+        mu[0] = nu[0] = 0.5
+        assert coupling.row_marginal[0] == coupling.col_marginal[0] == 1.0 / 400
+
+    def test_constructor_copies(self):
+        values = np.full((2, 2), 0.25)
+        coupling = Coupling(values=values, row_marginal=np.full(2, 0.5), col_marginal=np.full(2, 0.5))
+        assert values.flags.writeable
+        values[0, 0] = 7.0
+        assert coupling.values[0, 0] == 0.25
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [[np.nan, 0.5], [0.25, 0.25]],
+            [[0.6, -0.1], [0.3, 0.2]],
+            [[0.25, 0.25], [0.25, 0.25 + 2 * MASS_TOLERANCE]],
+        ],
+        ids=["nan", "negative", "mass"],
+    )
+    def test_adoption_checks(self, values):
+        marginal = np.full(2, 0.5)
+        with pytest.raises(NonFiniteValue):
+            Coupling(np.array(values), marginal, marginal)
+        with pytest.raises(NonFiniteValue):
+            _adopt(Coupling, values=np.array(values), row_marginal=marginal, col_marginal=marginal)
+        plan = np.full((2, 2), 0.25)
+        adopted = _adopt(Coupling, values=plan, row_marginal=marginal, col_marginal=marginal)
+        assert adopted.values is plan and not plan.flags.writeable
 
 
 class TestBruteforce:

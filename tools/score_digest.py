@@ -7,16 +7,19 @@ Runs the checkout's ``src/otce`` on perfbench's inputs
   perfbench's ``Score`` workloads (gamma 0.5, default solver): f-otce, its
   iterations and its final marginal error; jc-otce, its label-distance
   solves' worst marginal error and unconverged count, and its main
-  solve's final marginal error;
+  solve's final marginal error; the transport cost of ``sinkhorn`` on
+  f-otce's sample cost and uniform marginals; and the SHA-256 of the
+  bytes of ``label_distance_matrix``;
 - the f-otce, with the default config, of each source of the seed-1
   source zoo 0 against its target.
 
 Two checkouts whose lines are equal give bit-identical scores. Run from
-anywhere: ``python3 tools/score_digest.py``; about 5 s on 2 vCPUs.
+anywhere: ``python3 tools/score_digest.py``; about 10 s on 2 vCPUs.
 """
 
 from __future__ import annotations
 
+import hashlib
 import sys
 import tempfile
 from pathlib import Path
@@ -25,7 +28,16 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import inputs  # noqa: E402
-from otce import MetricConfig, f_otce, jc_otce, read_feature_file  # noqa: E402
+from otce import (  # noqa: E402
+    MetricConfig,
+    f_otce,
+    jc_otce,
+    label_distance_matrix,
+    read_feature_file,
+    sinkhorn,
+    squared_euclidean_cost,
+    uniform_marginal,
+)
 
 SCORE_SEEDS = (1, 2, 3)
 ZOO_SEED = 1
@@ -52,6 +64,12 @@ def main() -> None:
                 f" label unconverged {jc.label_unconverged}"
                 f" error {jc.final_marginal_error.hex()}"
             )
+            cost = squared_euclidean_cost(src.features, tgt.features)
+            solve = sinkhorn(cost, uniform_marginal(src.n), uniform_marginal(tgt.n), config.sinkhorn)
+            print(f"score seed {seed} sinkhorn transport cost {solve.transport_cost.hex()}")
+            distances = label_distance_matrix(src, tgt, config)
+            digest = hashlib.sha256(distances.tobytes()).hexdigest()
+            print(f"score seed {seed} label distances sha256 {digest}")
         out = Path(work) / "zoo"
         names = inputs.source_zoo(ZOO_SEED, 0, out)
         tgt = read_feature_file(out / "target.ftrs")
