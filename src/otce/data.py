@@ -26,14 +26,14 @@ __all__ = ["FeatureSet", "Coupling", "MetricId", "TransferabilityScore"]
 MASS_TOLERANCE = 1e-9
 
 
-def _check_integer(name: str, value, least: int) -> None:
-    """Raise ValueError unless ``value`` is an integer (a Python or numpy
+def _check_integer(name: str, value, least: int, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` unless ``value`` is an integer (a Python or numpy
     int, not a bool) of at least ``least``. A float count or seed would
     pass the bound and fail later, mid-run, as a TypeError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
     if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+        raise error(f"{name} must be >= {least}, got {value!r}")
 
 
 def _check_real(name: str, value, low=-math.inf, high=math.inf, open_low=False) -> None:
@@ -94,7 +94,8 @@ class FeatureSet:
     Attributes:
         features: (n, d) matrix of finite embedding coordinates, float64.
         labels: length-n integer labels, each in [0, class_count).
-        class_count: size of the label space. Classes may be absent from
+        class_count: size of the label space, an integer (not a bool)
+            of at least 1, else LabelOutOfRange. Classes may be absent from
             ``labels`` (few-shot batches can miss classes); the set of
             present classes is available via :attr:`present_classes`.
         name: opaque identifier used in reports and rankings.
@@ -134,8 +135,7 @@ class FeatureSet:
             raise LabelOutOfRange(f"labels must be integers, got dtype {labels.dtype}")
         labels = labels.astype(np.int64, copy=False)
 
-        if int(self.class_count) < 1:
-            raise LabelOutOfRange(f"class_count must be >= 1, got {self.class_count}")
+        _check_integer("class_count", self.class_count, 1, LabelOutOfRange)
         out = (labels < 0) | (labels >= self.class_count)
         if out.any():
             i = int(np.argmax(out))

@@ -79,6 +79,8 @@ def read_feature_file(path: str | Path) -> FeatureSet:
         raise MalformedHeader(
             f"{path}: header declares n={n}, d={d}, classes={class_count}"
         )
+    if class_count > 2**31:
+        raise MalformedHeader(f"{path}: class count {class_count} exceeds 2**31 at byte 24")
 
     expected = _HEADER.size + 4 * n + 4 * n * d
     if len(raw) != expected:

@@ -33,8 +33,14 @@ its problem's absorptions, rebuilt once per epoch), with no exp per step.
 The solvers and the unrolled reverse use no BLAS call: every product is
 an einsum, ufunc or sequential ``np.bincount`` loop and every reduction
 runs in a fixed sequential order, so for a given cost the results are
-bit-stable across runs and thread counts. The BLAS product in
-:func:`squared_euclidean_cost` is not.
+bit-stable across runs and thread counts, and across the cost's memory
+layouts: the arrays the rule sums over are in C order whatever the
+cost's. The BLAS product in :func:`squared_euclidean_cost` is not.
+
+A rule holds its cost, not -cost/lam: every kernel rebuild and
+log-sum-exp redo forms the exponent from the cost in the array it
+fills, so a solve holds its cost and one m x n work array, and a batch
+of costs passed as a list holds the caller's arrays as they are.
 
 A step's matvec may be zero or huge, so its scaling may divide by zero
 or overflow; the range test catches that. The caller of ``_Rule.step``
@@ -182,17 +188,6 @@ def transport_cost(coupling: Coupling | np.ndarray, cost: np.ndarray) -> float:
     return float((plan * cost).sum())
 
 
-def _view(store: np.ndarray, shape, order: str) -> np.ndarray:
-    """The memory of ``store``, a C- or F-contiguous array, as an array of
-    ``shape`` in ``order`` ("C" or "F").
-
-    A sum over all entries runs in memory order, so its bits depend on
-    the order: the view lets a store stand in for an array that numpy
-    would allocate in that order.
-    """
-    return store.ravel(order="K").reshape(shape, order=order)
-
-
 def _check_marginals(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> None:
     m, n = cost.shape
     if mu.shape != (m,) or nu.shape != (n,):
@@ -253,20 +248,18 @@ _FOLD_HI = float(np.exp(_ABSORB + _MARGIN / 2.0))
 _EMPTY = tuple(np.broadcast_to(dtype(0), (0,)) for dtype in (np.intp, np.intp, np.float64))
 
 
-def _neg_cost(cost: np.ndarray, lam: float, out: np.ndarray | None = None) -> np.ndarray:
-    """-cost/lam, the exponent of every kernel, written into ``out`` if given.
+def _check_exponent(cost: np.ndarray, lam: float) -> None:
+    """Check that -cost/lam, the exponent of every kernel, is finite.
 
     Raises:
-        NumericalOverflow: it is not finite: lam is so small that a
-            nonzero cost over it, or 1/lam itself, overflows.
+        NumericalOverflow: it is not: lam is so small that a nonzero
+            cost over it, or 1/lam itself, overflows.
     """
     # Python floats, which overflow without a warning. Rounding is
     # monotone, so every product is finite if the one with the largest
     # |cost| is; 0 * inf is NaN.
-    scale = -1.0 / float(lam)
-    if not math.isfinite(scale * float(max(cost.max(), -cost.min()))):
+    if not math.isfinite(-1.0 / float(lam) * float(max(cost.max(), -cost.min()))):
         raise NumericalOverflow(f"-cost/lam overflows (lam={lam!r})")
-    return np.multiply(cost, scale, out=out)
 
 
 def _floor(log_mu: np.ndarray, log_nu: np.ndarray) -> float:
@@ -322,6 +315,10 @@ class _Rule:
     """Scaling updates u = mu / (K v), v = nu / (K^T u) on the kernel
     K = exp(-cost/lam + F + G), held in ``work``.
 
+    The rule holds ``cost`` and ``scale`` = -1/lam, not -cost/lam: each
+    rebuild and log-sum-exp redo writes ``cost * scale`` into the array
+    it fills, the same product, so the same bits, as a held -cost/lam.
+
     F and G are absorbed log potentials; the effective potentials are
     f = F + log u and g = G + log v. :meth:`step` puts each fresh scaling
     in place, and one that leaves [e^-_ABSORB, e^_ABSORB] is absorbed
@@ -341,7 +338,9 @@ class _Rule:
     the floor. After the start a redo is rare: in practice every later
     absorption folds.
 
-    ``work`` is K's dense store and the log-sum-exp form's workspace. The
+    ``work`` is K's dense store and the log-sum-exp form's workspace, in C
+    order whatever the cost's: the dense matvecs sum in memory order, so
+    the plan's bits do not depend on the cost's layout. The
     matvecs (einsums) and the plan read it, or, while an absorption has
     left K sparse, K's nonzeros alone (``pattern``: flat rows, columns and
     values, row-major), as ``np.bincount`` sums and as the dense form's
@@ -349,22 +348,24 @@ class _Rule:
     pattern and every rebuild and redo overwrites whole. A rule that owns
     its ``work`` (``owns_work``: :meth:`on`'s, not a _Batch problem's view
     into a stack) writes a sparse kernel's plan into it: the solve then
-    holds no m x n array but its cost, -cost/lam and ``work``. Both
+    holds no m x n array but its cost and ``work``. Both
     matvecs are sequential, not BLAS calls, so their bits do not depend
     on the BLAS thread count. The sparse column product adds the same
     terms in the same order as the einsum, so it is bit-identical; the
     sparse row product differs from it by rounding.
     """
 
-    def __init__(self, kernel, work, mu, nu, log_mu, log_nu, lam: float, F, G, u, v):
-        """The rule on prepared arrays: ``kernel`` is -cost/lam, ``work``
-        holds K, ``log_mu`` and ``log_nu`` are the logs of the marginals,
-        F and G are the absorbed log potentials and u, v the scalings."""
+    def __init__(self, cost, work, mu, nu, log_mu, log_nu, lam: float, F, G, u, v):
+        """The rule on prepared arrays: ``cost``, whose -cost/lam is
+        finite, ``work`` holds K, ``log_mu`` and ``log_nu`` are the logs of
+        the marginals, F and G are the absorbed log potentials and u, v
+        the scalings."""
         self.lam = lam
+        self.scale = -1.0 / float(lam)
         self.pattern = None
         self.owns_work = False
         self.absorptions = 0
-        self.kernel = kernel
+        self.cost = cost
         self.work = work
         self.mu = mu
         self.nu = nu
@@ -376,10 +377,10 @@ class _Rule:
     def on(cls, cost: np.ndarray, mu: np.ndarray, nu: np.ndarray, lam: float):
         """The rule at the start of a solve on ``cost``: F = G = 0, u = v = 1,
         on the empty kernel (see the class docstring)."""
-        kernel = _neg_cost(cost, lam)
-        m, n = kernel.shape
+        _check_exponent(cost, lam)
+        m, n = cost.shape
         rule = cls(
-            kernel, np.empty_like(kernel), mu, nu, np.log(mu), np.log(nu), lam,
+            cost, np.empty((m, n)), mu, nu, np.log(mu), np.log(nu), lam,
             np.zeros(m), np.zeros(n), np.ones(m), np.ones(n),
         )
         rule.pattern = _EMPTY
@@ -457,16 +458,15 @@ class _Rule:
         return self
 
     def plan(self) -> np.ndarray:
-        """The plan K u v^T: a new array, or with a sparse K the memory of
-        the rule's own ``work`` in C order, if it owns it (see the class
-        docstring)."""
+        """The plan K u v^T: a new array, or with a sparse K the rule's own
+        ``work``, if it owns it (see the class docstring)."""
         if self.pattern is None:
             plan = self.work * self.u[:, None]
             plan *= self.v[None, :]
             return plan
         rows, cols, data = self.pattern
         shape = (self.u.size, self.v.size)
-        plan = _view(self.work, shape, "C") if self.owns_work else np.empty(shape)
+        plan = self.work if self.owns_work else np.empty(shape)
         plan.fill(0.0)
         plan[rows, cols] = data * self.u[rows] * self.v[cols]
         return plan
@@ -488,7 +488,8 @@ class _Rule:
         leaves ``out`` as scratch (:func:`_scatter` writes K from the
         pattern); else writes K into ``out`` and returns None.
         """
-        np.add(self.kernel, f[:, None], out=out)
+        np.multiply(self.cost, self.scale, out=out)
+        out += f[:, None]
         out += g[None, :]
         # Zeros below the floor, not exp(floor): exact zeros are what the
         # sparse matvecs skip, and an entry near exp(-700) times a small
@@ -514,7 +515,8 @@ class _Rule:
         :meth:`_matvec`'s axis: f = log_mu - LSE_j(-cost/lam + g) from g
         (axis 0), or g = log_nu - LSE_i(-cost/lam + f) from f (axis 1)."""
         work = self.work
-        np.add(self.kernel, potential[:, None] if axis else potential[None, :], out=work)
+        np.multiply(self.cost, self.scale, out=work)
+        work += potential[:, None] if axis else potential[None, :]
         shift = work.max(axis=1 - axis)
         work -= shift[None, :] if axis else shift[:, None]
         np.maximum(work, _EXP_CLAMP, out=work)
@@ -536,6 +538,12 @@ class _Batch(_Rule):
     plan. An absorbing half-step first copies the stacks that something
     still reads (``_SHARED``), so that ``fresh``, and a tape's records,
     are never overwritten.
+
+    ``costs`` holds each problem's cost, which only its per-problem
+    steps read: the caller's arrays as they are, or the blocks of a
+    ``source`` cost, gathered once into one buffer. A problem's
+    absorptions form its kernel from its cost in contiguous scratch, in
+    C order, as its 2-D rule does in its ``work``.
 
     Each problem's products are those of its 2-D rule, to the bit, in the
     form its kernel is held in. While every problem holds a pattern
@@ -562,23 +570,20 @@ class _Batch(_Rule):
         """The batch of the problems on ``costs``, or with ``source`` on
         its blocks ``source[np.ix_(rows, cols)]``, each named by a pair
         (rows, cols) of index arrays in ``costs``."""
+        # One buffer holds the gathered blocks, so it is freed in one piece.
         if source is None:
-            self.shapes = [cost.shape for cost in costs]
+            self.costs = list(costs)
         else:
-            self.shapes = [(rows.size, cols.size) for rows, cols in costs]
-        # Each problem's -cost/lam, contiguous: only per-problem steps read
-        # it. One buffer holds them all, so it is freed in one piece. A
-        # block of ``source`` is gathered into it one at a time.
-        sizes = [m * n for m, n in self.shapes]
-        flat = np.empty(sum(sizes))
-        stops = list(itertools.accumulate(sizes))
-        self.kernels = [
-            _neg_cost(
-                cost if source is None else source[np.ix_(*cost)],
-                lam, out=flat[stop - size:stop].reshape(shape),
-            )
-            for cost, shape, size, stop in zip(costs, self.shapes, sizes, stops)
-        ]
+            sizes = [rows.size * cols.size for rows, cols in costs]
+            flat = np.empty(sum(sizes))
+            self.costs = []
+            for (rows, cols), stop, size in zip(costs, itertools.accumulate(sizes), sizes):
+                block = flat[stop - size:stop].reshape(rows.size, cols.size)
+                block[...] = source[np.ix_(rows, cols)]
+                self.costs.append(block)
+        for cost in self.costs:
+            _check_exponent(cost, lam)
+        self.shapes = [cost.shape for cost in self.costs]
         count = len(costs)
         rows, cols = (max(extent) for extent in zip(*self.shapes))
         mu = np.ones((count, rows))
@@ -592,7 +597,7 @@ class _Batch(_Rule):
         )
         self.absorptions = np.zeros(count, dtype=np.intp)
         self._group()
-        self.scratch = np.empty(max(sizes))
+        self.scratch = np.empty(max(m * n for m, n in self.shapes))
         # Each problem's pattern in its own indices, or None while its
         # kernel is dense.
         self.parts = [_EMPTY] * count
@@ -622,14 +627,14 @@ class _Batch(_Rule):
         self.singles = [k for k, n in enumerate(columns) if n == 1 and wide]
 
     def problem(self, k: int) -> _Rule:
-        """Problem k as a 2-D _Rule on its kernel, its pattern and views into the stacks.
+        """Problem k as a 2-D _Rule on its cost, its pattern and views into the stacks.
 
         The views share memory with the stacks except where a method
         assigns a new array (an absorption); :meth:`_absorb_one` copies those back.
         """
         m, n = self.shapes[k]
         rule = _Rule(
-            self.kernels[k], None if self.work is None else self.work[k, :m, :n],
+            self.costs[k], None if self.work is None else self.work[k, :m, :n],
             self.mu[k, :m], self.nu[k, :n], self.log_mu[k, :m], self.log_nu[k, :n],
             self.lam, self.F[k, :m], self.G[k, :n], self.u[k, :m], self.v[k, :n],
         )
@@ -765,8 +770,8 @@ class _Batch(_Rule):
         for name in ("work", "mu", "log_mu", "F", "u", "nu", "log_nu", "G", "v", "absorptions"):
             stack = getattr(self, name)
             setattr(self, name, stack if stack is None else stack[alive])
-        self.kernels = [kernel for kernel, keep in zip(self.kernels, alive) if keep]
-        self.shapes = [kernel.shape for kernel in self.kernels]
+        self.costs = [cost for cost, keep in zip(self.costs, alive) if keep]
+        self.shapes = [cost.shape for cost in self.costs]
         self.parts = [part for part, keep in zip(self.parts, alive) if keep]
         self._group()
         self.pattern = None
@@ -838,12 +843,16 @@ def sinkhorn(
     ((_, plan, iterations, error),) = _stops(rule, [0], config)
     support = None if rule.pattern is None else rule.pattern[:2]
     # The transport cost is transport_cost's products and sum, formed in
-    # the rule's -cost/lam store, which the solve no longer reads. They run
-    # in the plan's memory order, which numpy gives ``plan * cost`` here,
-    # so the bits are the same, and no m x n array is allocated. The rule
-    # is then freed, before the checks of the plan allocate temporaries.
-    order = "C" if plan.flags.c_contiguous else "F"
-    cost_of_plan = float(np.multiply(plan, cost, out=_view(rule.kernel, plan.shape, order)).sum())
+    # the rule's ``work``, so no m x n array is allocated: with a dense
+    # final kernel the plan is a new array and ``work`` is free; with a
+    # sparse one the plan is ``work``, so it is written again after,
+    # whole: off the support, 0 times a negative cost left -0.0. Both are
+    # in C order, as numpy allocates ``plan * cost`` for any cost's
+    # order, so the sum's bits are the same. The rule is then freed,
+    # before the checks of the plan allocate temporaries.
+    cost_of_plan = float(np.multiply(plan, cost, out=rule.work).sum())
+    if support is not None:
+        plan = rule.plan()
     del rule
     # The column update pins total mass to 1 up to float residue, so the
     # Coupling mass invariant holds without renormalizing (renormalizing
@@ -886,12 +895,12 @@ def batched_sinkhorn(costs, config: SinkhornConfig, source: np.ndarray | None = 
     :func:`sinkhorn` on its cost alone, and its values equal that
     solve's to the bit, sparse or dense.
 
-    With ``source``, each entry of ``costs`` is a pair (rows, cols) of
+    A batch holds the costs of a list as they are, with no copy. With
+    ``source``, each entry of ``costs`` is a pair (rows, cols) of
     non-empty index arrays, and its cost is the block
     ``source[np.ix_(rows, cols)]`` (jc-otce's class pairs of the sample
-    cost). No copy of the blocks is held: each is gathered into its
-    batch's store, and again, alone, for its transport cost. The source
-    is checked once, whole.
+    cost): each is gathered once, into its batch's store, and its
+    transport cost is read from there. The source is checked once, whole.
 
     Raises:
         DimensionMismatch: a cost, or ``source``, is not 2-D, empty or
@@ -909,14 +918,15 @@ def batched_sinkhorn(costs, config: SinkhornConfig, source: np.ndarray | None = 
         np.empty(count), np.empty(count, dtype=np.intp), np.empty(count), np.empty(count, dtype=bool)
     )
     for batch in _batches(shapes):
-        # Held by the driver alone, the stacks are freed before the next batch.
-        stops = _stops(_Batch([costs[b] for b in batch], config.lam, source), batch, config)
-        for b, plan, iterations, error in stops:
-            cost = costs[b] if source is None else source[np.ix_(*costs[b])]
-            result.transport_cost[b] = transport_cost(plan, cost)
+        rule = _Batch([costs[b] for b in batch], config.lam, source)
+        held = dict(zip(batch, rule.costs))
+        for b, plan, iterations, error in _stops(rule, batch, config):
+            result.transport_cost[b] = transport_cost(plan, held[b])
             result.iterations[b] = iterations
             result.final_marginal_error[b] = error
             result.converged[b] = error <= config.marginal_tolerance
+        # The stacks and the gathered costs are freed before the next batch.
+        del rule, held
     return result
 
 
@@ -1051,10 +1061,9 @@ class _Taped(_Batch):
                     dg *= v
                     # The row half overwrites f: df is zero.
                     df = 0.0
-            scale = -1.0 / self.lam
             for p, (dkernel, (m, n)) in enumerate(zip(dkernels, self.shapes)):
                 dkernel += _rank_sum(rows[p, :m, :ends[p]], cols[p, :n, :ends[p]], kernels[p])
-                dkernel *= scale
+                dkernel *= self.scale
             return dkernels
 
 

@@ -15,15 +15,14 @@ def absorptions(monkeypatch):
     solve's first row half is one, and its first column half another if
     out of range.
 
-    Each entry is a copy of the absorbing problem's -cost/lam array, which
-    tells the problems of a batch apart: a solve reuses that store once
-    it has stopped.
+    Each entry is the absorbing problem's cost array, which tells the
+    problems of a batch apart.
     """
     calls = []
     absorb = ot._Rule._absorb
 
     def counting(rule, f, g):
-        calls.append(rule.kernel.copy())
+        calls.append(rule.cost)
         absorb(rule, f, g)
 
     monkeypatch.setattr(ot._Rule, "_absorb", counting)
@@ -82,12 +81,12 @@ def stackless(monkeypatch):
 def redos(monkeypatch):
     """Records each half-step of the Sinkhorn rule redone in log-sum-exp
     form (a call of ``_Rule.lse``), as :func:`absorptions` records
-    absorptions: by the redoing problem's -cost/lam array."""
+    absorptions: by the redoing problem's cost array itself."""
     calls = []
     lse = ot._Rule.lse
 
     def counting(rule, potential, axis):
-        calls.append(rule.kernel)
+        calls.append(rule.cost)
         return lse(rule, potential, axis)
 
     monkeypatch.setattr(ot._Rule, "lse", counting)
@@ -110,7 +109,7 @@ def zeroed_row(monkeypatch):
 
     def zeroing(rule):
         absorb_col(rule)
-        if rule.kernel.shape != armed["shape"]:
+        if rule.cost.shape != armed["shape"]:
             return
         armed["count"] += 1
         if armed["count"] == armed["at"]:

@@ -46,6 +46,25 @@ class TestFeatureSet:
         with pytest.raises(LabelOutOfRange):
             FeatureSet(np.zeros((2, 1)), np.array([0.0, 1.0]), 2)
 
+    @pytest.mark.parametrize(
+        "classes", [2.9, 2.0, np.float64(2.0), True, np.nan, "2", None],
+        ids=["float", "whole-float", "numpy-float", "bool", "nan", "str", "none"],
+    )
+    def test_non_integer_class_count_rejected(self, classes):
+        # int() truncated 2.9 to 2, took True as 1 and raised a bare
+        # ValueError on NaN.
+        with pytest.raises(LabelOutOfRange, match="class_count must be an integer"):
+            FeatureSet(np.zeros((2, 1)), np.array([0, 1]), classes)
+
+    @pytest.mark.parametrize("classes", [0, -1, np.int32(0)])
+    def test_class_count_below_one_rejected(self, classes):
+        with pytest.raises(LabelOutOfRange, match="class_count must be >= 1"):
+            FeatureSet(np.zeros((1, 1)), np.array([0]), classes)
+
+    def test_numpy_integer_class_count_held_as_int(self):
+        fs = FeatureSet(np.zeros((1, 1)), np.array([0]), np.int64(3))
+        assert fs.class_count == 3 and type(fs.class_count) is int
+
     def test_absent_classes_allowed(self):
         fs = make_set([[0.0], [1.0]], [0, 4], classes=5)
         assert fs.present_classes.tolist() == [0, 4]

@@ -111,6 +111,14 @@ class TestFtrsValidation:
         with pytest.raises(MalformedHeader, match="byte 28"):
             read_feature_file(path)
 
+    def test_class_count_beyond_int32_labels(self, tmp_path):
+        # The writer refuses more than 2**31 classes, so the reader does too.
+        path = _raw_file(tmp_path / "bad.ftrs", 1, 1, 2**31 + 1, [0], [0.0])
+        with pytest.raises(MalformedHeader, match="byte 24"):
+            read_feature_file(path)
+        path = _raw_file(tmp_path / "widest.ftrs", 1, 1, 2**31, [0], [0.0])
+        assert read_feature_file(path).class_count == 2**31
+
     def test_truncated_payload(self, tmp_path):
         path = _raw_file(tmp_path / "bad.ftrs", 2, 2, 1, [0, 0], np.zeros((2, 2)))
         blob = path.read_bytes()

@@ -229,7 +229,7 @@ def log_sum_exp_walk(cost, config, iterations, dplan):
     plan = rule.plan()
 
     def soft(shift):
-        return np.exp(np.maximum(rule.kernel + shift, ot._EXP_CLAMP))
+        return np.exp(np.maximum(rule.cost * rule.scale + shift, ot._EXP_CLAMP))
 
     dkernel = dplan * plan
     df, dg = dkernel.sum(axis=1), dkernel.sum(axis=0)

@@ -275,9 +275,9 @@ class TestLabelDistanceMatrix:
         expected = np.array([result.transport_cost for result in reference])
         np.testing.assert_allclose(batch.transport_cost, expected, rtol=1e-12, atol=0)
         # Each problem absorbs as often as its per-pair solve; a problem
-        # is told apart by its -cost/lam.
-        def per_problem(kernels):
-            return Counter(kernel.tobytes() for kernel in kernels)
+        # is told apart by its cost.
+        def per_problem(costs):
+            return Counter(cost.tobytes() for cost in costs)
 
         assert per_problem(absorptions[per_pair:]) == per_problem(absorptions[:per_pair])
         # the start of each solve, plus absorptions after it at small lam
@@ -485,12 +485,14 @@ def traced_peak(call) -> int:
 class TestMemory:
     # Peaks in units of one m x n float64 array, on 400 x 400 points in
     # 40 clusters, each with one point of each of 10 labels. A solve holds
-    # -cost/lam and the rule's ``work`` beside its cost; a sparse final
-    # kernel's plan is written into ``work``, a dense one's is a third
-    # array. The checks of the plan add m x n bool temporaries. The scores
-    # add the sample cost they solve on; jc-otce's label stage holds no
-    # copy of it. Each bound lies below what one more m x n array would
-    # give (about 3.1 for the sparse solve, 4.1 for f-otce and jc-otce).
+    # the rule's ``work`` beside its cost, and no -cost/lam; a sparse
+    # final kernel's plan is written into ``work``, a dense one's is a
+    # second array. The checks of the plan add m x n bool temporaries. The
+    # scores add the sample cost they solve on; jc-otce's label stage
+    # gathers its class-pair blocks once, one more m x n in all, and sets
+    # its peak. Each bound lies below what one more m x n array would
+    # give (about 2.2 for the sparse solve, 3.1 for the dense one, 3.2 for
+    # f-otce and 3.5 for jc-otce).
     def test_peaks(self):
         xs, xt = clustered_pair(3.0)
         labels = np.arange(400) % 10
@@ -504,9 +506,9 @@ class TestMemory:
         def solve(lam):
             solves.append(sinkhorn(cost, mu, nu, SinkhornConfig(lam=lam)))
 
-        assert traced_peak(lambda: solve(0.1)) <= 2.5 * unit
-        assert traced_peak(lambda: solve(1e4)) <= 3.3 * unit
+        assert traced_peak(lambda: solve(0.1)) <= 1.5 * unit
+        assert traced_peak(lambda: solve(1e4)) <= 2.5 * unit
         # The first final kernel is sparse, the second dense.
         assert solves[0]._support is not None and solves[1]._support is None
-        assert traced_peak(lambda: f_otce(src, tgt)) <= 3.5 * unit
-        assert traced_peak(lambda: jc_otce(src, tgt)) <= 3.5 * unit
+        assert traced_peak(lambda: f_otce(src, tgt)) <= 2.6 * unit
+        assert traced_peak(lambda: jc_otce(src, tgt)) <= 2.9 * unit

@@ -391,7 +391,7 @@ class TestFold:
             redos.clear()
             batch.u = fresh
             batch._absorb_row()
-        assert len(redos) == (not folds) and all(kernel is batch.kernels[2] for kernel in redos)
+        assert len(redos) == (not folds) and all(cost is costs[2] for cost in redos)
         assert np.isfinite(batch.F).all()
         if folds:
             assert batch.F[2].tobytes() == folded.tobytes()
@@ -410,15 +410,15 @@ class TestFold:
         ot.batched_sinkhorn(blocks, SinkhornConfig(lam=0.1, max_iterations=300))
         # The blocks differ in shape, which tells their records apart.
         assert len({block.shape for block in blocks}) == 4
-        assert max(Counter(kernel.shape for kernel in redos).values()) <= 2
-        assert min(Counter(kernel.shape for kernel in absorptions).values()) >= 4
+        assert max(Counter(cost.shape for cost in redos).values()) <= 2
+        assert min(Counter(cost.shape for cost in absorptions).values()) >= 4
 
 
 def column_violation(rule, F, G, u, v):
     """The column violation of the plan exp(-cost/lam + F + G) u v^T on
     ``rule``'s cost and marginals, from the potentials and scalings alone
     (no kernel floor)."""
-    plan = np.exp(rule.kernel + (F + np.log(u))[:, None] + (G + np.log(v))[None, :])
+    plan = np.exp(rule.cost * rule.scale + (F + np.log(u))[:, None] + (G + np.log(v))[None, :])
     return np.abs(plan.sum(axis=0) - rule.nu).max()
 
 
@@ -509,7 +509,7 @@ class TestKernelRebuild:
         rule = ot._Rule.on(cost, uniform_marginal(m), uniform_marginal(n), lam)
         step(rule)  # the first row half is redone, absorbed and builds the kernel
         floor = ot._floor(rule.log_mu, rule.log_nu)
-        above = rule.kernel + rule.F[:, None] + rule.G[None, :] > floor
+        above = rule.cost * rule.scale + rule.F[:, None] + rule.G[None, :] > floor
         assert (above.mean() > ot._SPARSE_SHARE) == dense
         built, patterns = [], []
         for share in (0.0, 1.0):  # forces the dense form, then the sparse one
@@ -892,7 +892,7 @@ class TestKernelFloor:
         m, n = cost.shape
         rule = ot._Rule.on(cost, uniform_marginal(m), uniform_marginal(n), 0.1)
         step(rule, 200)
-        exponent = rule.kernel + rule.F[:, None] + rule.G[None, :]
+        exponent = rule.cost * rule.scale + rule.F[:, None] + rule.G[None, :]
         # The floor has dropped entries the clamp would keep, and the
         # scalings are near the edge of their range.
         assert ((kernel_of(rule) == 0) & (exponent > ot._EXP_CLAMP)).any()
@@ -1031,7 +1031,7 @@ class TestTransportCost:
 class TestAdoptedPlan:
     # sinkhorn's Coupling holds the plan the solve wrote (with a sparse
     # final kernel, the rule's own ``work``), adopted rather than copied,
-    # and its transport cost is formed in the rule's -cost/lam store.
+    # and its transport cost is formed in the rule's ``work``.
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("lam, sparse", [(0.1, True), (1e4, False)])
     def test_solve(self, lam, sparse, order):
@@ -1041,16 +1041,27 @@ class TestAdoptedPlan:
         result = sinkhorn(cost, uniform_marginal(m), uniform_marginal(n), SinkhornConfig(lam=lam))
         assert (result._support is not None) == sparse
         assert result.transport_cost.hex() == transport_cost(result.coupling, cost).hex()
-        # A sparse plan is in C order, as a new zero plan would be; a
-        # dense one in the order of the cost's kernel. The transport
-        # cost's sum runs in that order.
-        values = result.coupling.values
-        assert values.flags.c_contiguous if sparse or order == "C" else values.flags.f_contiguous
+        # A plan is in C order whatever the cost's, as the rule's ``work``
+        # is. The transport cost's sum runs in that order.
+        assert result.coupling.values.flags.c_contiguous
         assert np.array_equal(cost, before)
         for arr in (result.coupling.values, result.coupling.row_marginal, result.coupling.col_marginal):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+    def test_negative_cost_leaves_no_negative_zero(self):
+        # The sparse plan is ``work``, where the transport products are
+        # formed: 0 times a negative cost is -0.0, which must not stay.
+        cost = clustered_cost(3.0)
+        cost -= cost.mean()
+        m, n = cost.shape
+        result = sinkhorn(cost, uniform_marginal(m), uniform_marginal(n), SinkhornConfig(lam=0.1))
+        values = result.coupling.values
+        assert result._support is not None
+        assert ((cost < 0) & (values == 0)).any()
+        assert not np.signbit(values).any()
+        assert result.transport_cost.hex() == transport_cost(result.coupling, cost).hex()
 
     def test_marginals_copied(self):
         # The plan is the solve's own; the marginals are the caller's.
@@ -1086,6 +1097,41 @@ class TestAdoptedPlan:
         plan = np.full((2, 2), 0.25)
         adopted = _adopt(Coupling, values=plan, row_marginal=marginal, col_marginal=marginal)
         assert adopted.values is plan and not plan.flags.writeable
+
+
+def strided(cost):
+    """``cost`` as a view that skips every other column of its buffer."""
+    wide = np.zeros((cost.shape[0], 2 * cost.shape[1]))
+    wide[:, ::2] = cost
+    return wide[:, ::2]
+
+
+class TestCostLayout:
+    # A solve's results do not depend on its cost's memory layout: the
+    # rule's ``work`` is in C order whatever the cost's, and the dense
+    # matvecs sum in its memory order.
+    LAYOUTS = {
+        "C": np.copy,
+        "F": np.asfortranarray,
+        "transposed-copy": lambda cost: cost.T.copy().T,
+        "strided": strided,
+    }
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("lam, sparse", [(0.1, True), (1e4, False)], ids=["sparse", "dense"])
+    def test_solve_matches_c_order(self, lam, sparse, layout):
+        cost = clustered_cost(3.0)
+        m, n = cost.shape
+        mu, nu, config = uniform_marginal(m), uniform_marginal(n), SinkhornConfig(lam=lam)
+        reference = sinkhorn(cost, mu, nu, config)
+        laid_out = self.LAYOUTS[layout](cost)
+        assert np.array_equal(laid_out, cost) and (layout == "C") == laid_out.flags.c_contiguous
+        result = sinkhorn(laid_out, mu, nu, config)
+        assert (result._support is not None) == sparse
+        assert result.coupling.values.tobytes() == reference.coupling.values.tobytes()
+        assert result.transport_cost.hex() == reference.transport_cost.hex()
+        assert result.iterations == reference.iterations
+        assert laid_out.tobytes() == cost.tobytes()
 
 
 class TestBruteforce:

@@ -8,7 +8,10 @@ tracemalloc sees it allocate, numpy's arrays included, over and above
 what it is given, in units of m * n * 8 bytes (m, n the sample counts):
 
 - ``squared_euclidean_cost`` above the two feature matrices;
-- ``sinkhorn`` on uniform marginals above its cost;
+- ``sinkhorn`` on uniform marginals above its cost, whose final kernel
+  is sparse, and at lam = 10, where it is dense;
+- ``batched_sinkhorn`` on the cost's class-pair blocks, passed as a list
+  of arrays, above the blocks;
 - ``f_otce``, ``jc_otce`` and ``label_distance_matrix`` above the two
   FeatureSets.
 
@@ -26,9 +29,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import numpy as np  # noqa: E402
+
 import inputs  # noqa: E402
 from otce import (  # noqa: E402
     MetricConfig,
+    SinkhornConfig,
     f_otce,
     jc_otce,
     label_distance_matrix,
@@ -37,6 +43,7 @@ from otce import (  # noqa: E402
     squared_euclidean_cost,
     uniform_marginal,
 )
+from otce.ot import batched_sinkhorn  # noqa: E402
 
 SEED = 1
 
@@ -60,10 +67,15 @@ def main() -> None:
         tgt = read_feature_file(Path(work) / "target.ftrs")
     cost = squared_euclidean_cost(src.features, tgt.features)
     mu, nu = uniform_marginal(src.n), uniform_marginal(tgt.n)
+    rows = [np.flatnonzero(src.labels == a) for a in np.unique(src.labels)]
+    cols = [np.flatnonzero(tgt.labels == b) for b in np.unique(tgt.labels)]
+    blocks = [cost[np.ix_(r, c)] for r in rows for c in cols]
     unit = cost.nbytes
     stages = (
         ("squared_euclidean_cost", lambda: squared_euclidean_cost(src.features, tgt.features)),
         ("sinkhorn", lambda: sinkhorn(cost, mu, nu, config.sinkhorn)),
+        ("sinkhorn dense", lambda: sinkhorn(cost, mu, nu, SinkhornConfig(lam=10.0))),
+        ("batched_sinkhorn list", lambda: batched_sinkhorn(blocks, config.sinkhorn)),
         ("f_otce", lambda: f_otce(src, tgt, config)),
         ("jc_otce", lambda: jc_otce(src, tgt, config)),
         ("label_distance_matrix", lambda: label_distance_matrix(src, tgt, config)),
